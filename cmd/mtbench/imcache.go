@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -282,6 +283,7 @@ func printIMCache(jsonPath string) {
 		snap := map[string]any{
 			"benchmark":     "intermediate-result-cache",
 			"date":          time.Now().UTC().Format(time.RFC3339),
+			"num_cpu":       runtime.NumCPU(),
 			"items":         cfg.Items,
 			"customers":     cfg.Customers,
 			"iters":         iters,

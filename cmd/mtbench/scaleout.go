@@ -390,30 +390,9 @@ func runScaleoutChild(name, backendAddr string, pull time.Duration) {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 		os.Exit(1)
 	}
-	for _, ddl := range tpcw.CachedViewDDL {
-		if err := cache.CreateCachedView(ddl); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: cached view: %v\n", name, err)
-			os.Exit(1)
-		}
-	}
-	for _, ddl := range tpcw.CachedViewIndexDDL {
-		if _, err := cache.DB.Exec(ddl, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: index: %v\n", name, err)
-			os.Exit(1)
-		}
-	}
-	skip := map[string]bool{}
-	for _, p := range tpcw.UpdateDominatedProcs {
-		skip[strings.ToLower(p)] = true
-	}
-	for _, text := range tpcw.ProcedureDDL {
-		if skip[strings.ToLower(procNameOf(text))] {
-			continue
-		}
-		if err := cache.CopyProcedureText(text); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: procedure: %v\n", name, err)
-			os.Exit(1)
-		}
+	if err := tpcw.SetupRemoteCache(cache); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		os.Exit(1)
 	}
 	cache.StartPulling(pull)
 	defer cache.StopPulling()
@@ -427,17 +406,6 @@ func runScaleoutChild(name, backendAddr string, pull time.Duration) {
 
 	// Serve until the parent closes our stdin (or kills us).
 	io.Copy(io.Discard, os.Stdin) //nolint:errcheck
-}
-
-// procNameOf extracts the procedure name from a CREATE PROCEDURE statement.
-func procNameOf(ddl string) string {
-	fields := strings.Fields(ddl)
-	for i := 0; i+1 < len(fields); i++ {
-		if strings.EqualFold(fields[i], "PROCEDURE") {
-			return fields[i+1]
-		}
-	}
-	return ""
 }
 
 func writeScaleoutJSON(path string, res *scaleoutResult) error {

@@ -54,7 +54,7 @@ func main() {
 		httpAddr    = flag.String("http", "127.0.0.1:8344", "observability HTTP address (/metrics, /debug/trace/last, /debug/querystore); empty disables")
 		serveAddr   = flag.String("serve", "", "wire listen address for routed application traffic (session routers dial this); empty disables")
 		runShell    = flag.Bool("shell", true, "run the interactive SQL shell on stdin (false = headless, wait for SIGINT)")
-		tpcwViews   = flag.Bool("tpcw-views", true, "create the paper's four TPC-W cached views")
+		tpcwViews   = flag.Bool("tpcw-views", true, "provision the paper's TPC-W cache: the four cached views, their indexes and every procedure except the update-dominated ones")
 		pull        = flag.Duration("pull", 200*time.Millisecond, "pull-subscription poll interval")
 		retries     = flag.Int("retries", 0, "max attempts per backend request (0 = default policy)")
 		timeout     = flag.Duration("timeout", 0, "per-request deadline (0 = default policy)")
@@ -92,12 +92,11 @@ func main() {
 	fmt.Printf("%s: shadow database imported from %s\n", *name, *backendAddr)
 
 	if *tpcwViews {
-		for _, ddl := range tpcw.CachedViewDDL {
-			if err := cache.CreateCachedView(ddl); err != nil {
-				log.Printf("cached view: %v", err)
-			}
+		if err := tpcw.SetupRemoteCache(cache); err != nil {
+			log.Printf("TPC-W cache setup: %v", err)
+		} else {
+			fmt.Println("TPC-W cache provisioned: cached views cv_item, cv_author, cv_orders, cv_order_line, their indexes, and the cacheable procedures")
 		}
-		fmt.Println("TPC-W cached views provisioned (cv_item, cv_author, cv_orders, cv_order_line)")
 	}
 	cache.StartPulling(*pull)
 	defer cache.StopPulling()

@@ -256,8 +256,8 @@ func (db *Database) execDrop(x *sql.DropStmt) (*Result, error) {
 		if db.store.Table(x.Name) != nil {
 			db.store.DropTable(x.Name)
 		}
-		// Intermediates derived from the dropped relation are now orphans.
-		db.InvalidateIntermediates(t.Name)
+		// Cached results derived from the dropped relation are now orphans.
+		db.InvalidateCachedResults(t.Name)
 	case "PROCEDURE":
 		if err := db.cat.DropProcedure(x.Name); err != nil {
 			return nil, err

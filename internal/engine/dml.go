@@ -65,11 +65,11 @@ func (db *Database) execDML(stmt sql.Statement, params exec.Params) (*Result, er
 func (db *Database) invalidateDMLTarget(stmt sql.Statement) {
 	switch x := stmt.(type) {
 	case *sql.InsertStmt:
-		db.InvalidateIntermediates(x.Table.Name)
+		db.InvalidateCachedResults(x.Table.Name)
 	case *sql.UpdateStmt:
-		db.InvalidateIntermediates(x.Table.Name)
+		db.InvalidateCachedResults(x.Table.Name)
 	case *sql.DeleteStmt:
-		db.InvalidateIntermediates(x.Table.Name)
+		db.InvalidateCachedResults(x.Table.Name)
 	}
 }
 

@@ -77,9 +77,8 @@ type Database struct {
 	mvPlans sync.Map // map[*catalog.Table]*mvPlan
 
 	// imc is the intermediate-result cache (nil when disabled by config);
-	// imcOn gates it at runtime so benchmarks can toggle phases. Admission,
-	// eviction and stale transitions of view-tier entries call
-	// InvalidatePlans through the cache's OnChange hook, exactly like DDL.
+	// imcOn gates it at runtime so benchmarks can toggle phases. It serves
+	// exact-match repeats before planning and never invalidates plans.
 	imc   *imcache.Cache
 	imcOn atomic.Bool
 
@@ -127,8 +126,7 @@ type Config struct {
 
 	// DisableIMCache turns the intermediate-result cache off entirely
 	// (no candidate tracking, no lookups). The default-on cache serves
-	// repeated identical SELECTs from materialized results and registers
-	// hot intermediates with the optimizer.
+	// repeated identical SELECTs from materialized results.
 	DisableIMCache bool
 
 	// IMCache overrides the intermediate-result cache bounds (nil =
@@ -160,7 +158,6 @@ func New(cfg Config) *Database {
 			imOpts = *cfg.IMCache
 		}
 		db.imc = imcache.New(imOpts)
-		db.imc.OnChange(db.InvalidatePlans)
 		db.imcOn.Store(true)
 	}
 	db.registerSystemTables()
@@ -306,12 +303,7 @@ func (db *Database) mvPlanCacheSize() int {
 }
 
 func (db *Database) env() *opt.Env {
-	e := &opt.Env{Cat: db.cat, IsCache: db.role == Cache, Opts: db.opts, Staleness: db.stalenessOf}
-	if imc := db.imcacheIfEnabled(); imc != nil {
-		e.Intermediates = func() []*catalog.Table { return imc.ViewTables(time.Now()) }
-		e.IntermediateStaleness = func(name string) (float64, bool) { return imc.Staleness(name, time.Now()) }
-	}
-	return e
+	return &opt.Env{Cat: db.cat, IsCache: db.role == Cache, Opts: db.opts, Staleness: db.stalenessOf}
 }
 
 // Result is the outcome of one statement.
@@ -467,7 +459,9 @@ func (db *Database) querySpan(stmt *sql.SelectStmt, params exec.Params, autoArgs
 	// entry; WITH FRESHNESS accepts one stale up to the declared bound.
 	imc := db.imcacheIfEnabled()
 	var imkey string
+	var imEpoch uint64
 	if imc != nil {
+		imEpoch = imc.Epoch() // before the snapshot below is taken
 		istart := time.Now()
 		maxStale, boundOK := time.Duration(0), true
 		if stmt.Freshness != nil {
@@ -558,7 +552,7 @@ func (db *Database) querySpan(stmt *sql.SelectStmt, params exec.Params, autoArgs
 	// observed: their plan may have read bounded-stale views, so the rows
 	// are not a fresh materialization of the statement.
 	if imc != nil && imkey != "" && err == nil && stmt.Freshness == nil {
-		db.imObserve(imc, imkey, imShape(stmt), stmt, params, autoArgs, plan, res, time.Since(qstart))
+		db.imObserve(imc, imkey, imEpoch, imShape(stmt), stmt, autoArgs, plan, res, time.Since(qstart))
 	}
 	return res, err
 }
@@ -671,9 +665,8 @@ func (db *Database) planCached(stmt *sql.SelectStmt) (*opt.Plan, bool, error) {
 	}
 	db.planMu.Lock()
 	// Optimization ran outside the lock; if InvalidatePlans fired in
-	// between (DDL, or an intermediate-result admit/evict/stale
-	// transition), this plan may reference state that no longer exists —
-	// run it once but do not cache it.
+	// between (DDL or a stats refresh), this plan may reference state that
+	// no longer exists — run it once but do not cache it.
 	if db.planCache.gen == gen {
 		db.planCache.put(key, p)
 	}
@@ -857,7 +850,7 @@ func (db *Database) BulkLoad(table string, rows []types.Row) error {
 	if err := tx.CommitUnlogged(); err != nil {
 		return err
 	}
-	db.InvalidateIntermediates(table)
+	db.InvalidateCachedResults(table)
 	return nil
 }
 

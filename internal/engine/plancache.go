@@ -24,8 +24,7 @@ type planLRU struct {
 	// gen counts invalidations. planCached snapshots it before optimizing
 	// outside the lock and refuses to insert a plan produced against a
 	// generation that has since been cleared — otherwise a plan referencing
-	// a dropped view or evicted intermediate could outlive the DDL (or
-	// imcache transition) that invalidated it.
+	// a dropped view could outlive the DDL that invalidated it.
 	gen uint64
 }
 

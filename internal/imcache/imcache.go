@@ -11,24 +11,23 @@
 // usable under a WITH FRESHNESS bound that covers its age. Entries stale
 // for longer than Options.MaxStaleAge are discarded outright.
 //
-// The cache has two reuse tiers. Every admitted entry serves exact-match
+// The cache has one reuse tier: an admitted entry serves exact-match
 // lookups (same shape, same parameter values) straight from the engine
-// before planning. Entries whose statement is simple enough for
-// Goldstein–Larson view matching additionally carry a synthetic
-// materialized-view catalog entry (attached by the engine via
-// AttachView) that the optimizer substitutes into *other* queries like
-// any cached view. Admission, eviction and stale transitions of
-// view-tier entries fire the OnChange hook so the engine can invalidate
-// its plan cache exactly like DDL does.
+// before planning. It never feeds the optimizer, so no admit, eviction or
+// stale transition ever touches a cached plan.
+//
+// Lookup and Observe do O(1) work: they judge only the key they touch
+// against MaxStaleAge. The full over-stale sweep rides on Invalidate,
+// which walks every entry anyway.
 package imcache
 
 import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"mtcache/internal/catalog"
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
 	"mtcache/internal/types"
@@ -72,6 +71,12 @@ type Observation struct {
 	Lineage []string       // lowercased source tables (base tables and cached views)
 	LSN     uint64         // MVCC snapshot LSN the result was computed at
 	CostNs  int64          // wall time spent computing the result
+
+	// Epoch is Cache.Epoch read before the result's snapshot was taken.
+	// Observe refuses the result when a lineage table was invalidated
+	// since then: the rows may predate that write, and storing them as
+	// fresh would hide it from every later plain read.
+	Epoch uint64
 }
 
 // Entry is one admitted intermediate result.
@@ -86,10 +91,6 @@ type Entry struct {
 	LSN        uint64
 	ComputedAt time.Time
 	CostNs     int64
-
-	// View is the synthetic materialized-view catalog entry for
-	// view-matchable statements (nil for exact-match-only entries).
-	View *catalog.Table
 
 	hits     int64
 	savedNs  int64
@@ -138,38 +139,31 @@ type candidate struct {
 }
 
 // Cache is the intermediate-result cache. All methods are safe for
-// concurrent use. The OnChange hook is always invoked without the cache
-// lock held.
+// concurrent use.
 type Cache struct {
-	mu       sync.Mutex
-	opts     Options
-	entries  map[string]*Entry
-	byView   map[string]*Entry // view name (lowercased) -> entry
-	cands    map[string]*candidate
-	bytes    int64
-	tick     int64
-	viewSeq  int64
-	onChange func()
+	mu          sync.Mutex
+	opts        Options
+	entries     map[string]*Entry
+	cands       map[string]*candidate
+	bytes       int64
+	tick        int64
+	epoch       atomic.Uint64     // bumped by every Invalidate
+	invalidated map[string]uint64 // lowercased table -> epoch of its last Invalidate
 }
 
 // New creates a cache with the given bounds.
 func New(opts Options) *Cache {
 	return &Cache{
-		opts:    opts.withDefaults(),
-		entries: make(map[string]*Entry),
-		byView:  make(map[string]*Entry),
-		cands:   make(map[string]*candidate),
+		opts:        opts.withDefaults(),
+		entries:     make(map[string]*Entry),
+		cands:       make(map[string]*candidate),
+		invalidated: make(map[string]uint64),
 	}
 }
 
-// OnChange registers fn to run after any mutation that affects plan
-// validity: admit, eviction, stale transition or refresh of a view-tier
-// entry. The engine points this at its plan-cache invalidation.
-func (c *Cache) OnChange(fn func()) {
-	c.mu.Lock()
-	c.onChange = fn
-	c.mu.Unlock()
-}
+// Epoch returns the invalidation epoch. Read it before a result's
+// snapshot is taken and pass it in Observation.Epoch.
+func (c *Cache) Epoch() uint64 { return c.epoch.Load() }
 
 // Options returns the effective (defaulted) bounds.
 func (c *Cache) Options() Options {
@@ -178,71 +172,39 @@ func (c *Cache) Options() Options {
 	return c.opts
 }
 
-// NextViewName reserves a fresh synthetic view name ("__im_N").
-func (c *Cache) NextViewName() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.viewSeq++
-	return "__im_" + itoa(c.viewSeq)
-}
-
-func itoa(n int64) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
 // Observe records one completed execution. It returns true when the key
-// is now (or was just re-) materialized — the caller should then attach
-// a view via AttachView if the statement is view-matchable.
+// is now (or was just re-) materialized.
 func (c *Cache) Observe(obs Observation, now time.Time) bool {
 	if obs.Key == "" || len(obs.Lineage) == 0 {
 		return false
 	}
 	bytes := estimateBytes(obs.Cols, obs.Rows)
-	var changed bool
 	c.mu.Lock()
-	defer func() {
-		fn := c.onChange
-		c.mu.Unlock()
-		if changed && fn != nil {
-			fn()
+	defer c.mu.Unlock()
+	for _, t := range obs.Lineage {
+		if c.invalidated[strings.ToLower(t)] > obs.Epoch {
+			return false
 		}
-	}()
-	c.dropOverStaleLocked(now, &changed)
+	}
 
-	if e, ok := c.entries[obs.Key]; ok {
+	if e := c.liveLocked(obs.Key, now); e != nil {
 		// A recomputation of an admitted entry means the cached copy was
 		// stale (or bypassed); refresh it in place with the new snapshot.
 		c.bytes += bytes - e.Bytes
 		e.Cols, e.Rows, e.Bytes = obs.Cols, obs.Rows, bytes
 		e.LSN, e.ComputedAt, e.CostNs = obs.LSN, now, obs.CostNs
 		e.lastUsed = now
-		if !e.staleAt.IsZero() || e.View != nil {
-			changed = true
-		}
 		e.staleAt = time.Time{}
-		if e.View != nil {
-			refreshView(e)
-		}
-		c.evictToFitLocked(obs.Key, &changed)
+		c.evictToFitLocked(obs.Key)
 		c.publishLocked()
 		return c.entries[obs.Key] != nil
 	}
 
 	cand := c.cands[obs.Key]
 	if cand == nil {
+		c.boundCandidatesLocked()
 		cand = &candidate{}
 		c.cands[obs.Key] = cand
-		c.boundCandidatesLocked()
 	}
 	c.tick++
 	cand.count++
@@ -252,7 +214,6 @@ func (c *Cache) Observe(obs Observation, now time.Time) bool {
 		cand.tooBig = true
 	}
 	if cand.tooBig || cand.count < c.opts.AdmitAfter {
-		c.publishLocked()
 		return false
 	}
 
@@ -275,7 +236,7 @@ func (c *Cache) Observe(obs Observation, now time.Time) bool {
 	delete(c.cands, obs.Key)
 	c.entries[obs.Key] = e
 	c.bytes += e.Bytes
-	c.evictToFitLocked(obs.Key, &changed)
+	c.evictToFitLocked(obs.Key)
 	if c.entries[obs.Key] == nil {
 		c.publishLocked()
 		return false // could not fit even after evicting everything else
@@ -285,39 +246,17 @@ func (c *Cache) Observe(obs Observation, now time.Time) bool {
 	return true
 }
 
-// AttachView associates a synthetic materialized-view catalog entry with
-// an admitted key, making it visible to the optimizer's view matching.
-func (c *Cache) AttachView(key string, view *catalog.Table) {
-	if view == nil {
-		return
-	}
-	var changed bool
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok && e.View == nil {
-		e.View = view
-		c.byView[strings.ToLower(view.Name)] = e
-		changed = true
-	}
-	fn := c.onChange
-	c.mu.Unlock()
-	if changed && fn != nil {
-		fn()
-	}
-}
-
 // Lookup serves an exact-match hit for key when the entry's staleness is
-// within maxStale (pass 0 to demand a fresh entry). Entries stale beyond
-// MaxStaleAge are dropped on the way.
+// within maxStale (pass 0 to demand a fresh entry). An entry stale beyond
+// MaxStaleAge is never served; Lookup drops it on the way.
 func (c *Cache) Lookup(key string, now time.Time, maxStale time.Duration) (Hit, bool) {
 	if key == "" {
 		return Hit{}, false
 	}
-	var changed bool
 	var hit Hit
 	var ok bool
 	c.mu.Lock()
-	c.dropOverStaleLocked(now, &changed)
-	if e, present := c.entries[key]; present {
+	if e := c.liveLocked(key, now); e != nil {
 		// A fresh entry serves any request; a stale one needs a positive
 		// freshness budget covering its age (the invalidation instant
 		// itself computes staleness 0, so IsZero is the fresh test).
@@ -329,86 +268,46 @@ func (c *Cache) Lookup(key string, now time.Time, maxStale time.Duration) (Hit, 
 			ok = true
 		}
 	}
+	c.mu.Unlock()
 	if ok {
 		metrics.Default.Counter("imcache.hits").Add(1)
 	} else {
 		metrics.Default.Counter("imcache.misses").Add(1)
 	}
-	c.publishLocked()
-	fn := c.onChange
-	c.mu.Unlock()
-	if changed && fn != nil {
-		fn()
-	}
 	return hit, ok
 }
 
 // Invalidate marks every fresh entry whose lineage includes table as
-// stale at instant now. It returns the number of entries transitioned.
+// stale at instant now, and drops every entry stale beyond MaxStaleAge
+// on the same walk. It returns the number of entries transitioned.
 func (c *Cache) Invalidate(table string, now time.Time) int {
 	lower := strings.ToLower(table)
-	var changed bool
 	n := 0
 	c.mu.Lock()
-	for _, e := range c.entries {
+	defer c.mu.Unlock()
+	c.invalidated[lower] = c.epoch.Add(1)
+	for key, e := range c.entries {
+		if c.overStale(e, now) {
+			c.removeLocked(key)
+			continue
+		}
 		if !e.staleAt.IsZero() || !lineageHas(e.Lineage, lower) {
 			continue
 		}
 		e.staleAt = now
 		n++
-		if e.View != nil {
-			changed = true
-		}
 	}
 	if n > 0 {
 		metrics.Default.Counter("imcache.invalidations").Add(int64(n))
 	}
-	c.dropOverStaleLocked(now, &changed)
-	fn := c.onChange
-	c.mu.Unlock()
-	if changed && fn != nil {
-		fn()
-	}
+	c.publishLocked()
 	return n
-}
-
-// ViewTables returns the synthetic view catalog entries usable at instant
-// now: fresh ones and stale ones still within MaxStaleAge (the optimizer
-// gates those behind the query's freshness bound via Staleness).
-func (c *Cache) ViewTables(now time.Time) []*catalog.Table {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []*catalog.Table
-	for _, e := range c.entries {
-		if e.View == nil {
-			continue
-		}
-		if st := e.staleness(now); st > 0 && st > c.opts.MaxStaleAge {
-			continue
-		}
-		out = append(out, e.View)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Staleness reports the staleness in seconds of the named synthetic view
-// at instant now (false when the name is not an intermediate).
-func (c *Cache) Staleness(name string, now time.Time) (float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.byView[strings.ToLower(name)]
-	if !ok {
-		return 0, false
-	}
-	return e.staleness(now).Seconds(), true
 }
 
 // EntryInfo is a point-in-time description of one entry for sys.* output.
 type EntryInfo struct {
 	Shape            string
 	Args             string
-	ViewName         string // "" for exact-match-only entries
 	Rows             int
 	Bytes            int64
 	Hits             int64
@@ -424,7 +323,7 @@ func (c *Cache) Snapshot(now time.Time) []EntryInfo {
 	defer c.mu.Unlock()
 	out := make([]EntryInfo, 0, len(c.entries))
 	for _, e := range c.entries {
-		info := EntryInfo{
+		out = append(out, EntryInfo{
 			Shape:            e.Shape,
 			Args:             e.Args,
 			Rows:             len(e.Rows),
@@ -434,11 +333,7 @@ func (c *Cache) Snapshot(now time.Time) []EntryInfo {
 			Lineage:          append([]string(nil), e.Lineage...),
 			LSN:              e.LSN,
 			StalenessSeconds: e.staleness(now).Seconds(),
-		}
-		if e.View != nil {
-			info.ViewName = e.View.Name
-		}
-		out = append(out, info)
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Hits != out[j].Hits {
@@ -465,40 +360,51 @@ func (c *Cache) Bytes() int64 {
 
 // Clear drops every entry and candidate.
 func (c *Cache) Clear() {
-	var changed bool
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for key := range c.entries {
-		c.removeLocked(key, &changed)
+		c.removeLocked(key)
 	}
 	c.cands = make(map[string]*candidate)
 	c.publishLocked()
-	fn := c.onChange
-	c.mu.Unlock()
-	if changed && fn != nil {
-		fn()
-	}
 }
 
-// removeLocked drops one entry, firing metrics and flagging a plan-cache
-// change when it carried a view.
-func (c *Cache) removeLocked(key string, changed *bool) {
+// liveLocked returns key's entry, or nil when there is none. An entry
+// stale beyond MaxStaleAge is dropped here rather than returned, so only
+// the touched key is ever judged.
+func (c *Cache) liveLocked(key string, now time.Time) *Entry {
+	e, ok := c.entries[key]
+	if !ok {
+		return nil
+	}
+	if c.overStale(e, now) {
+		c.removeLocked(key)
+		c.publishLocked()
+		return nil
+	}
+	return e
+}
+
+// overStale reports whether e has been stale for longer than MaxStaleAge.
+func (c *Cache) overStale(e *Entry, now time.Time) bool {
+	return e.staleness(now) > c.opts.MaxStaleAge
+}
+
+// removeLocked drops one entry and counts the eviction.
+func (c *Cache) removeLocked(key string) {
 	e, ok := c.entries[key]
 	if !ok {
 		return
 	}
 	delete(c.entries, key)
 	c.bytes -= e.Bytes
-	if e.View != nil {
-		delete(c.byView, strings.ToLower(e.View.Name))
-		*changed = true
-	}
 	metrics.Default.Counter("imcache.evictions").Add(1)
 }
 
 // evictToFitLocked evicts lowest-weight entries (stale first) until the
 // byte budget holds. keep is never evicted unless it alone exceeds the
 // budget, in which case it too is dropped.
-func (c *Cache) evictToFitLocked(keep string, changed *bool) {
+func (c *Cache) evictToFitLocked(keep string) {
 	for c.bytes > c.opts.MaxBytes {
 		var victim *Entry
 		for _, e := range c.entries {
@@ -511,10 +417,10 @@ func (c *Cache) evictToFitLocked(keep string, changed *bool) {
 		}
 		if victim == nil {
 			// Only the protected entry remains and it still overflows.
-			c.removeLocked(keep, changed)
+			c.removeLocked(keep)
 			return
 		}
-		c.removeLocked(victim.Key, changed)
+		c.removeLocked(victim.Key)
 	}
 }
 
@@ -530,25 +436,26 @@ func evictBefore(a, b *Entry) bool {
 	return a.lastUsed.Before(b.lastUsed)
 }
 
-// dropOverStaleLocked removes entries stale for longer than MaxStaleAge.
-func (c *Cache) dropOverStaleLocked(now time.Time, changed *bool) {
-	for key, e := range c.entries {
-		if st := e.staleness(now); st > 0 && st > c.opts.MaxStaleAge {
-			c.removeLocked(key, changed)
-		}
-	}
-}
+// candidateSample is how many tracked candidates boundCandidatesLocked
+// compares to pick a victim, so making room costs O(1) at any MaxTracked.
+const candidateSample = 8
 
-// boundCandidatesLocked keeps the admission tracker under MaxTracked by
-// dropping the least-promising candidate (fewest executions, oldest).
+// boundCandidatesLocked makes room for one new candidate under MaxTracked
+// by dropping the least promising (fewest executions, then oldest) of a
+// sample of tracked candidates. Map iteration starts at a random position,
+// so the sample is random.
 func (c *Cache) boundCandidatesLocked() {
-	for len(c.cands) > c.opts.MaxTracked {
+	for len(c.cands) >= c.opts.MaxTracked {
 		var worstKey string
 		var worst *candidate
+		n := 0
 		for k, cand := range c.cands {
 			if worst == nil || cand.count < worst.count ||
 				(cand.count == worst.count && cand.seen < worst.seen) {
 				worstKey, worst = k, cand
+			}
+			if n++; n == candidateSample {
+				break
 			}
 		}
 		delete(c.cands, worstKey)
@@ -558,19 +465,6 @@ func (c *Cache) boundCandidatesLocked() {
 // publishLocked refreshes the imcache.bytes gauge.
 func (c *Cache) publishLocked() {
 	metrics.Default.Gauge("imcache.bytes").Set(float64(c.bytes))
-}
-
-// refreshView rebuilds the view's row source and stats after an in-place
-// refresh so already-matched plans (which clone the RowsFn result per
-// execution) see the new snapshot.
-func refreshView(e *Entry) {
-	rows := e.Rows
-	e.View.RowsFn = func() []types.Row { return rows }
-	cols := make([]string, len(e.Cols))
-	for i, col := range e.Cols {
-		cols[i] = col.Name
-	}
-	e.View.Stats = catalog.BuildTableStats(cols, rows)
 }
 
 // estimateBytes approximates the retained size of a result: a fixed

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"mtcache/internal/catalog"
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
 	"mtcache/internal/types"
@@ -92,12 +91,49 @@ func TestRefreshClearsStaleness(t *testing.T) {
 	c.Observe(obs("k1", 2, 50, "item"), now)
 	c.Invalidate("item", now)
 	// Recomputation (the miss path re-ran the query) refreshes in place.
-	if !c.Observe(obs("k1", 3, 60, "item"), now.Add(time.Second)) {
+	o := obs("k1", 3, 60, "item")
+	o.Epoch = c.Epoch()
+	if !c.Observe(o, now.Add(time.Second)) {
 		t.Fatal("refresh observation not accepted")
 	}
 	hit, ok := c.Lookup("k1", now.Add(2*time.Second), 0)
 	if !ok || len(hit.Rows) != 3 || hit.Staleness != 0 {
 		t.Fatalf("refresh did not clear staleness: ok=%v hit=%+v", ok, hit)
+	}
+}
+
+// TestResultOlderThanInvalidationRefused: a result whose snapshot may
+// predate an invalidation of one of its tables must not be stored as
+// fresh — not admitted, and not allowed to refresh a stale entry.
+func TestResultOlderThanInvalidationRefused(t *testing.T) {
+	c := New(Options{AdmitAfter: 1})
+	now := time.Unix(1000, 0)
+	c.Observe(obs("k1", 2, 50, "item"), now)
+	before := c.Epoch() // a re-execution of k1 reads this, then takes its snapshot
+	c.Invalidate("ITEM", now)
+	old := obs("k1", 3, 50, "item")
+	old.Epoch = before
+	if c.Observe(old, now) {
+		t.Fatal("a result older than the invalidation refreshed the entry")
+	}
+	if _, ok := c.Lookup("k1", now, 0); ok {
+		t.Fatal("a plain lookup was served a result older than the invalidation")
+	}
+	fresh := obs("new", 1, 50, "item")
+	fresh.Epoch = before
+	if c.Observe(fresh, now) || c.Len() != 1 {
+		t.Fatal("a result older than the invalidation was admitted")
+	}
+	// Other tables are unaffected, and a result read after the
+	// invalidation is stored normally.
+	other := obs("k2", 1, 50, "orders")
+	other.Epoch = before
+	if !c.Observe(other, now) {
+		t.Fatal("an invalidation of item refused a result over orders")
+	}
+	old.Epoch = c.Epoch()
+	if !c.Observe(old, now) {
+		t.Fatal("a result read after the invalidation was refused")
 	}
 }
 
@@ -171,42 +207,43 @@ func TestCandidateTrackerBounded(t *testing.T) {
 	}
 }
 
-func TestOnChangeFiredForViewTierTransitions(t *testing.T) {
-	c := New(Options{AdmitAfter: 1})
+// TestOverStaleNeverServedAndSwept: an entry stale beyond MaxStaleAge is
+// never served, not even under a generous WITH FRESHNESS budget; Lookup
+// drops only the key it touches, and Invalidate sweeps the rest.
+func TestOverStaleNeverServedAndSwept(t *testing.T) {
+	c := New(Options{AdmitAfter: 1, MaxStaleAge: time.Minute})
 	now := time.Unix(1000, 0)
-	fired := 0
-	c.OnChange(func() { fired++ })
-
-	c.Observe(obs("k1", 2, 50, "item"), now)
-	if fired != 0 {
-		t.Fatalf("admit without view fired OnChange %d times", fired)
+	for _, k := range []string{"k1", "k2", "k3"} {
+		c.Observe(obs(k, 2, 50, "item"), now)
 	}
-	view := &catalog.Table{Name: "__im_1", IsView: true, Materialized: true, Cached: true,
-		Virtual: true, RowsFn: func() []types.Row { return nil }}
-	c.AttachView("k1", view)
-	if fired != 1 {
-		t.Fatalf("AttachView fired OnChange %d times, want 1", fired)
-	}
-	if got := c.ViewTables(now); len(got) != 1 || got[0].Name != "__im_1" {
-		t.Fatalf("ViewTables = %v", got)
-	}
+	c.Observe(obs("other", 2, 50, "orders"), now)
 	c.Invalidate("item", now)
-	if fired != 2 {
-		t.Fatalf("stale transition fired OnChange %d times, want 2", fired)
+
+	expired := now.Add(2 * time.Minute)
+	if _, ok := c.Lookup("k1", expired, time.Hour); ok { // WITH FRESHNESS 3600
+		t.Fatal("served an entry stale beyond MaxStaleAge")
 	}
-	if st, ok := c.Staleness("__im_1", now.Add(3*time.Second)); !ok || st != 3 {
-		t.Fatalf("Staleness = %v, %v", st, ok)
+	if n := c.Len(); n != 3 {
+		t.Fatalf("Lookup dropped %d entries, want only the touched one", 4-n)
 	}
-	// Dropping past MaxStaleAge removes the view and fires again.
-	c.Lookup("k1", now.Add(10*time.Minute), 0)
-	if fired != 3 {
-		t.Fatalf("over-stale drop fired OnChange %d times, want 3", fired)
+	// Observe of an over-stale key drops it; the new rows are admitted
+	// as a fresh entry, never merged into the expired one.
+	o := obs("k2", 3, 50, "item")
+	o.Epoch = c.Epoch()
+	c.Observe(o, expired)
+	if hit, ok := c.Lookup("k2", expired, 0); !ok || len(hit.Rows) != 3 || hit.Staleness != 0 {
+		t.Fatalf("recomputed key: ok=%v hit=%+v, want a fresh 3-row entry", ok, hit)
 	}
-	if got := c.ViewTables(now.Add(10 * time.Minute)); len(got) != 0 {
-		t.Fatalf("dropped view still listed: %v", got)
+	// Invalidate walks every entry: k3 goes, the fresh ones stay.
+	c.Invalidate("customer", expired)
+	if n := c.Len(); n != 2 {
+		t.Fatalf("after the Invalidate sweep %d entries remain, want 2", n)
 	}
-	if _, ok := c.Staleness("__im_1", now); ok {
-		t.Fatal("dropped view still resolves staleness")
+	if _, ok := c.Lookup("other", expired, 0); !ok {
+		t.Fatal("the sweep dropped a fresh entry")
+	}
+	if b, want := c.Bytes(), estimateBytes(intCols(), intRows(2))+estimateBytes(intCols(), intRows(3)); b != want {
+		t.Fatalf("bytes %d after the sweep, want %d", b, want)
 	}
 }
 
@@ -254,9 +291,27 @@ func TestSnapshotOrderAndFields(t *testing.T) {
 	}
 }
 
-func TestNextViewNameSequence(t *testing.T) {
-	c := New(Options{})
-	if a, b := c.NextViewName(), c.NextViewName(); a != "__im_1" || b != "__im_2" {
-		t.Fatalf("view names %q %q", a, b)
+// BenchmarkLookup times a hit against caches of 10 and 4,000 entries,
+// a quarter of them stale: ns/op must not grow with the entry count.
+func BenchmarkLookup(b *testing.B) {
+	for _, n := range []int{10, 4000} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			c := New(Options{AdmitAfter: 1, MaxStaleAge: time.Hour})
+			now := time.Unix(1000, 0)
+			for i := 0; i < n; i++ {
+				table := "item"
+				if i%4 == 0 {
+					table = "orders"
+				}
+				c.Observe(obs(fmt.Sprintf("k%d", i), 1, 100, table), now)
+			}
+			c.Invalidate("orders", now)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := c.Lookup("k1", now, 0); !ok {
+					b.Fatal("miss")
+				}
+			}
+		})
 	}
 }

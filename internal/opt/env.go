@@ -124,15 +124,6 @@ type Env struct {
 	// bound counts as too stale.
 	Staleness func(viewName string) (float64, bool)
 
-	// Intermediates lists the synthetic materialized-view catalog entries
-	// of the intermediate-result cache (never stored in Cat; they come and
-	// go with admission/eviction). nil when the cache is disabled.
-	Intermediates func() []*catalog.Table
-
-	// IntermediateStaleness reports an intermediate's staleness in seconds
-	// (false when the name is not a live intermediate).
-	IntermediateStaleness func(name string) (float64, bool)
-
 	Opts Options
 }
 
@@ -146,27 +137,6 @@ func (e *Env) viewFreshEnough(viewName string) bool {
 	}
 	s, ok := e.Staleness(viewName)
 	return ok && s <= e.MaxStaleness
-}
-
-// intermediateFreshEnough gates an intermediate result. Unlike cached
-// views — which replication keeps continuously maintained, so "no
-// freshness clause" accepts any staleness — an invalidated intermediate
-// is a point-in-time snapshot known to be out of date: without WITH
-// FRESHNESS only a fresh (never-invalidated-since-computed) intermediate
-// is usable; under a declared bound a stale one is usable while its age
-// stays within the bound.
-func (e *Env) intermediateFreshEnough(name string) bool {
-	if e.IntermediateStaleness == nil {
-		return false
-	}
-	s, ok := e.IntermediateStaleness(name)
-	if !ok {
-		return false
-	}
-	if s <= 0 {
-		return true
-	}
-	return e.HasFreshness && s <= e.MaxStaleness
 }
 
 // locationOf returns the DataLocation of a table or view, per the paper's

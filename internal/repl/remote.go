@@ -240,6 +240,6 @@ func ApplyBatch(target *engine.Database, table string, batch TxnBatch) error {
 	}
 	// Replicated writes are the invalidation signal for intermediate results
 	// derived from this table: mark them stale now that the change is visible.
-	target.InvalidateIntermediates(table)
+	target.InvalidateCachedResults(table)
 	return nil
 }

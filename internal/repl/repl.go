@@ -313,7 +313,7 @@ func (s *Server) snapshot(sub *Subscription) error {
 	}
 	// A (re)seed changes the target table's contents wholesale; any
 	// intermediate results derived from it are stale.
-	sub.Target.InvalidateIntermediates(sub.TargetTable)
+	sub.Target.InvalidateCachedResults(sub.TargetTable)
 	return sub.Target.AnalyzeTable(sub.TargetTable)
 }
 

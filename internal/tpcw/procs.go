@@ -2,8 +2,10 @@ package tpcw
 
 import (
 	"fmt"
+	"strings"
 
 	"mtcache/internal/core"
+	"mtcache/internal/wire"
 )
 
 // ProcedureDDL holds every stored procedure of the benchmark. The paper's
@@ -224,4 +226,47 @@ func SetupCache(c *core.CacheServer) error {
 		}
 	}
 	return c.CopyAllProceduresExcept(UpdateDominatedProcs...)
+}
+
+// SetupRemoteCache is SetupCache for a cache process that reaches its
+// backend over the wire: the paper's §6.1 configuration — the four cached
+// views, their indexes, and every procedure except UpdateDominatedProcs,
+// copied from ProcedureDDL.
+func SetupRemoteCache(rc *wire.RemoteCache) error {
+	for _, ddl := range CachedViewDDL {
+		if err := rc.CreateCachedView(ddl); err != nil {
+			return fmt.Errorf("tpcw: cached view: %w", err)
+		}
+	}
+	for _, ddl := range CachedViewIndexDDL {
+		if _, err := rc.DB.Exec(ddl, nil); err != nil {
+			return fmt.Errorf("tpcw: cached view index: %w", err)
+		}
+	}
+	for _, text := range ProcedureDDL {
+		if updateDominated(text) {
+			continue
+		}
+		if err := rc.CopyProcedureText(text); err != nil {
+			return fmt.Errorf("tpcw: procedure: %w", err)
+		}
+	}
+	return nil
+}
+
+// updateDominated reports whether a CREATE PROCEDURE text defines one of
+// UpdateDominatedProcs.
+func updateDominated(ddl string) bool {
+	fields := strings.Fields(ddl)
+	for i := 0; i+1 < len(fields); i++ {
+		if strings.EqualFold(fields[i], "PROCEDURE") {
+			for _, p := range UpdateDominatedProcs {
+				if strings.EqualFold(fields[i+1], p) {
+					return true
+				}
+			}
+			return false
+		}
+	}
+	return false
 }

@@ -3,9 +3,14 @@ package tpcw
 import (
 	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
+	"time"
 
+	"mtcache/internal/catalog"
 	"mtcache/internal/core"
+	"mtcache/internal/wire"
 )
 
 func smallConfig() Config {
@@ -229,4 +234,64 @@ func TestUpdateDominatedProcsNotOnCache(t *testing.T) {
 	if got := len(c.DB.Catalog().Procedures()); got != len(ProcedureDDL)-len(UpdateDominatedProcs) {
 		t.Errorf("copied procs: %d", got)
 	}
+}
+
+// TestSetupRemoteCacheMatchesSetupCache: a cache process provisioned over
+// the wire gets the same §6.1 configuration as the in-process SetupCache —
+// populated views, the same indexes and the same procedures.
+func TestSetupRemoteCacheMatchesSetupCache(t *testing.T) {
+	b := loadedBackend(t)
+	local, err := core.NewCache("local", b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SetupCache(local); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := wire.Serve(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := wire.Dial(srv.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	remote, err := wire.NewRemoteCache("remote", client, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SetupRemoteCache(remote); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"cv_item", "cv_author", "cv_orders", "cv_order_line"} {
+		if got, want := remote.DB.TableRowCount(v), local.DB.TableRowCount(v); got == 0 || got != want {
+			t.Errorf("%s: %d rows over the wire, %d in process", v, got, want)
+		}
+		if got, want := indexNames(remote.DB.Catalog().Table(v)), indexNames(local.DB.Catalog().Table(v)); got != want {
+			t.Errorf("%s indexes: %q over the wire, %q in process", v, got, want)
+		}
+	}
+	if got, want := procNames(remote.DB.Catalog()), procNames(local.DB.Catalog()); got != want {
+		t.Errorf("procedures over the wire:\n%s\nin process:\n%s", got, want)
+	}
+}
+
+func indexNames(t *catalog.Table) string {
+	var names []string
+	for _, idx := range t.Indexes {
+		names = append(names, strings.ToLower(idx.Name))
+	}
+	sort.Strings(names)
+	return strings.Join(names, ",")
+}
+
+func procNames(c *catalog.Catalog) string {
+	var names []string
+	for _, p := range c.Procedures() {
+		names = append(names, strings.ToLower(p.Name))
+	}
+	sort.Strings(names)
+	return strings.Join(names, ",")
 }

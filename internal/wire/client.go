@@ -184,10 +184,15 @@ func (c *Client) abandon(id uint64) {
 // back as *ServerError and are never retryable.
 func (c *Client) roundTrip(req *request) (*response, error) {
 	ch := make(chan *response, 1)
+	// The request is registered under the write lock, right before its
+	// frame is encoded, so the fifo order is the send order: a v1 server
+	// answers in arrival order and ID-less responses pop the fifo head.
+	c.wmu.Lock()
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
+		c.wmu.Unlock()
 		return nil, err
 	}
 	c.nextID++
@@ -200,7 +205,6 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 	inflight.Add(1)
 	defer inflight.Add(-1)
 
-	c.wmu.Lock()
 	if c.timeout > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
 	}

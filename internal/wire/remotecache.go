@@ -244,7 +244,7 @@ func (rc *RemoteCache) populate(view string, rows []types.Row) error {
 	}
 	// Seeding replaces the view's contents; intermediates derived from it
 	// are stale.
-	rc.DB.InvalidateIntermediates(view)
+	rc.DB.InvalidateCachedResults(view)
 	return rc.DB.AnalyzeTable(view)
 }
 
