@@ -12,7 +12,7 @@
 //	mtbench -experiment parallel -parallel-rows 60000 -bench-json BENCH_parallel.json
 //	mtbench -experiment recovery -clients 16 -bench-json BENCH_recovery.json
 //	mtbench -experiment querystore -bench-json BENCH_querystore.json
-//	mtbench -experiment vectorized -vec-rows 20000 -bench-json BENCH_vectorized.json
+//	mtbench -experiment vectorized -bench-json BENCH_vectorized.json
 //	mtbench -experiment imcache -bench-json BENCH_imcache.json
 //
 // Experiments: mix, baseline, scaleout, scaleout-sim, replover, repllat,
@@ -53,7 +53,6 @@ func main() {
 		benchJSON   = flag.String("bench-json", "", "throughput: write the result snapshot to this file as JSON")
 		parRows     = flag.Int("parallel-rows", 60000, "parallel: fact-table row count")
 		qsIters     = flag.Int("qs-iters", 2000, "querystore: timed point queries per mode")
-		vecRows     = flag.Int("vec-rows", 20000, "vectorized: fact-table row count")
 
 		scaleoutK   = flag.Int("scaleout-k", 3, "scaleout: maximum cache processes to spawn")
 		sessions    = flag.Int("sessions", 4, "scaleout: emulated browser sessions per cache")
@@ -106,7 +105,7 @@ func main() {
 		return
 	}
 	if *experiment == "vectorized" {
-		printVectorized(*vecRows, *benchJSON)
+		printVectorized(*benchJSON)
 		return
 	}
 	if *experiment == "imcache" {

@@ -3,10 +3,13 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mtcache/internal/exec"
+	"mtcache/internal/exec/exectest"
 	"mtcache/internal/metrics"
+	"mtcache/internal/opt"
 	"mtcache/internal/types"
 )
 
@@ -101,54 +104,89 @@ func TestAutoParamExecutionEquivalence(t *testing.T) {
 	}
 }
 
-// Property: serial batch, forced row-at-a-time, and parallel execution all
-// return identical results (ordered queries for a stable comparison). Run
-// under -race this also exercises the Exchange workers sharing one Env.
-func TestAutoParamRowBatchParallelEquivalence(t *testing.T) {
-	batch := newParallelDB(t, 6000)
-	row := newParallelDB(t, 6000)
-	row.rowMode = true
+// referenceExec plans q as Exec does (auto-parameterized shape, cached
+// plan) and evaluates that plan with the test-only reference evaluator
+// instead of the batch executor.
+func referenceExec(t *testing.T, db *Database, q string) (*exec.ResultSet, *opt.Plan) {
+	t.Helper()
+	stmt, args, norm, ok := db.autoParse(q)
+	if !ok {
+		t.Fatalf("%s: shape not auto-parameterized", q)
+	}
+	defer normPool.Put(norm)
+	plan, err := db.Plan(stmt)
+	if err != nil {
+		t.Fatalf("plan %s: %v", q, err)
+	}
+	return referenceRun(t, db, plan, plan.Root, nil, args), plan
+}
+
+// referenceRun evaluates root — plan's tree or a subtree of it — with the
+// reference evaluator under the parameters the engine would bind for plan.
+func referenceRun(t *testing.T, db *Database, plan *opt.Plan, root exec.Operator, params exec.Params, autoArgs []types.Value) *exec.ResultSet {
+	t.Helper()
+	tx := db.store.Begin(false)
+	defer tx.Abort()
+	ctx := &exec.Ctx{Txn: tx, Remote: db.remote}
+	bindParams(plan, params, autoArgs, ctx)
+	rs, err := exectest.Reference(root, ctx)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	return rs
+}
+
+// Property: the reference evaluator, serial batch execution and parallel
+// batch execution all return identical results for the same auto-
+// parameterized plans (ordered queries for a stable comparison). Run under
+// -race this also exercises the Exchange workers sharing one Env.
+func TestAutoParamReferenceBatchParallelEquivalence(t *testing.T) {
+	db := newParallelDB(t, 6000)
 
 	queries := []string{
 		"SELECT id, val FROM big WHERE val >= 100.0 ORDER BY id",
 		"SELECT grp, COUNT(*) AS c, SUM(val) AS s FROM big WHERE id < 5000 GROUP BY grp ORDER BY grp",
 		"SELECT a.id, b.val FROM big a INNER JOIN big b ON a.id = b.id WHERE a.grp = 7 ORDER BY a.id",
 	}
+	gathers := 0
 	for _, q := range queries {
-		bres, err := batch.Exec(q, nil)
+		pres, err := db.Exec(q, nil)
 		if err != nil {
-			t.Fatalf("batch %s: %v", q, err)
+			t.Fatalf("parallel %s: %v", q, err)
 		}
-		rres, err := row.Exec(q, nil)
-		if err != nil {
-			t.Fatalf("row %s: %v", q, err)
+		ref, plan := referenceExec(t, db, q)
+		if strings.Contains(opt.Explain(plan), "Exchange") {
+			gathers++
 		}
 		// Same engine re-planned serial: flip MaxDOP to compare parallel vs
 		// serial output of the identical database.
-		opts := batch.Options()
+		opts := db.Options()
 		prevDOP := opts.MaxDOP
 		opts.MaxDOP = 1
-		batch.SetOptions(opts)
-		sres, err := batch.Exec(q, nil)
+		db.SetOptions(opts)
+		sres, err := db.Exec(q, nil)
 		if err != nil {
 			t.Fatalf("serial %s: %v", q, err)
 		}
 		opts.MaxDOP = prevDOP
-		batch.SetOptions(opts)
+		db.SetOptions(opts)
 
-		for name, res := range map[string]*Result{"row": rres, "serial": sres} {
-			if len(res.Rows) != len(bres.Rows) {
-				t.Fatalf("%s vs batch %s: %d vs %d rows", name, q, len(res.Rows), len(bres.Rows))
+		for name, rows := range map[string][]types.Row{"parallel": pres.Rows, "serial": sres.Rows} {
+			if len(rows) != len(ref.Rows) {
+				t.Fatalf("%s vs reference %s: %d vs %d rows", name, q, len(rows), len(ref.Rows))
 			}
-			for i := range res.Rows {
-				for j := range res.Rows[i] {
-					if types.Compare(res.Rows[i][j], bres.Rows[i][j]) != 0 {
-						t.Fatalf("%s vs batch %s: row %d col %d: %v vs %v",
-							name, q, i, j, res.Rows[i][j], bres.Rows[i][j])
+			for i := range rows {
+				for j := range rows[i] {
+					if rows[i][j].K != ref.Rows[i][j].K || types.Compare(rows[i][j], ref.Rows[i][j]) != 0 {
+						t.Fatalf("%s vs reference %s: row %d col %d: %v vs %v",
+							name, q, i, j, rows[i][j], ref.Rows[i][j])
 					}
 				}
 			}
 		}
+	}
+	if gathers == 0 {
+		t.Fatal("no query planned an Exchange: the parallel leg ran serially")
 	}
 }
 

@@ -67,8 +67,7 @@ type Database struct {
 	// (normalized text → parsed statement; see autoparam.go).
 	autoMu    sync.Mutex
 	autoCache *autoLRU
-	autoOff   bool // Config.DisableAutoParam
-	rowMode   bool // Config.RowMode: force row-at-a-time execution
+	autoOff   bool // no auto-parameterization: one plan per literal text (tests)
 
 	// mvPlans caches compiled matview maintenance plans per view. It is
 	// per-database (a *catalog.Table key from one database must never serve
@@ -113,17 +112,6 @@ type Config struct {
 	// New ignores it because enabling durability can fail.
 	Durability *storage.DurabilityOptions
 
-	// DisableAutoParam turns off auto-parameterization of ad-hoc SELECT
-	// text: every execution parses its own text and literal-distinct
-	// queries optimize separately. Benchmarks use it as the measured
-	// "before" of the zero-alloc plan-cache-key work.
-	DisableAutoParam bool
-
-	// RowMode forces row-at-a-time Volcano iteration even through
-	// operators with a vectorized batch path; the measured baseline of
-	// the vectorized-execution benchmarks.
-	RowMode bool
-
 	// DisableIMCache turns the intermediate-result cache off entirely
 	// (no candidate tracking, no lookups). The default-on cache serves
 	// repeated identical SELECTs from materialized results.
@@ -149,8 +137,6 @@ func New(cfg Config) *Database {
 		remote:    cfg.Remote,
 		planCache: newPlanLRU(cfg.PlanCacheCap),
 		autoCache: newAutoLRU(0),
-		autoOff:   cfg.DisableAutoParam,
-		rowMode:   cfg.RowMode,
 	}
 	if !cfg.DisableIMCache {
 		var imOpts imcache.Options
@@ -588,7 +574,7 @@ func (db *Database) runPlanCaptured(plan *opt.Plan, params exec.Params, autoArgs
 	res := &Result{}
 	ctx := &exec.Ctx{
 		Txn: tx, Remote: db.remote, Counters: &res.Counters,
-		Span: esp, TraceID: esp.TraceID(), EstRows: plan.Card, RowMode: db.rowMode,
+		Span: esp, TraceID: esp.TraceID(), EstRows: plan.Card,
 	}
 	bindParams(plan, params, autoArgs, ctx)
 	root := exec.Instrument(exec.CloneOperator(plan.Root))
@@ -696,7 +682,7 @@ func (db *Database) runPlanSpan(plan *opt.Plan, params exec.Params, autoArgs []t
 	res := &Result{}
 	ctx := &exec.Ctx{
 		Txn: tx, Remote: db.remote, Counters: &res.Counters,
-		Span: esp, TraceID: esp.TraceID(), EstRows: plan.Card, RowMode: db.rowMode,
+		Span: esp, TraceID: esp.TraceID(), EstRows: plan.Card,
 	}
 	bindParams(plan, params, autoArgs, ctx)
 	rs, err := exec.Run(exec.CloneOperator(plan.Root), ctx)
@@ -757,7 +743,7 @@ func (db *Database) execExplain(x *sql.ExplainStmt, params exec.Params, span *tr
 		tx := db.store.Begin(false)
 		ctx := &exec.Ctx{
 			Txn: tx, Remote: db.remote, Counters: &res.Counters,
-			Span: esp, TraceID: esp.TraceID(), EstRows: plan.Card, RowMode: db.rowMode,
+			Span: esp, TraceID: esp.TraceID(), EstRows: plan.Card,
 		}
 		bindParams(plan, params, nil, ctx)
 		start := time.Now()

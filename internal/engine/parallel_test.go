@@ -136,7 +136,8 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	// and the LRU actually evicts. The intermediate-result cache is disabled
 	// too: admitting an intermediate invalidates plans (like DDL), which
 	// would empty the cache mid-test.
-	db := New(Config{Name: "backend", Role: Backend, PlanCacheCap: 4, DisableAutoParam: true, DisableIMCache: true})
+	db := New(Config{Name: "backend", Role: Backend, PlanCacheCap: 4, DisableIMCache: true})
+	db.autoOff = true
 	if err := db.ExecScript("CREATE TABLE tiny (id INT PRIMARY KEY, v INT);"); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,8 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 }
 
 func TestPlanCacheDefaultCapBounded(t *testing.T) {
-	db := New(Config{Name: "backend", Role: Backend, DisableAutoParam: true})
+	db := New(Config{Name: "backend", Role: Backend})
+	db.autoOff = true
 	if err := db.ExecScript("CREATE TABLE tiny (id INT PRIMARY KEY, v INT);"); err != nil {
 		t.Fatal(err)
 	}

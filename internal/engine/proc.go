@@ -128,7 +128,7 @@ func (db *Database) CallProcedure(name string, params exec.Params) (*Result, err
 					tx.Abort()
 					return nil, err
 				}
-				pctx := &exec.Ctx{Txn: tx, Remote: db.remote, Counters: &res.Counters, EstRows: plan.Card, RowMode: db.rowMode}
+				pctx := &exec.Ctx{Txn: tx, Remote: db.remote, Counters: &res.Counters, EstRows: plan.Card}
 				bindParams(plan, params, nil, pctx)
 				rs, err := exec.Run(exec.CloneOperator(plan.Root), pctx)
 				if err != nil {

@@ -9,11 +9,9 @@ import (
 )
 
 // benchDB builds the fact/dim pair the vectorized benchmarks run against.
-// rowMode selects the pre-vectorization configuration (one-row adapter,
-// parse per execution) so before/after can be compared with -bench.
-func benchDB(b *testing.B, rows int, rowMode bool) *Database {
+func benchDB(b *testing.B, rows int) *Database {
 	b.Helper()
-	db := New(Config{Name: "bench", Role: Backend, RowMode: rowMode, DisableAutoParam: rowMode})
+	db := New(Config{Name: "bench", Role: Backend, DisableIMCache: true})
 	err := db.ExecScript(`
 		CREATE TABLE big (
 			b_id INT PRIMARY KEY,
@@ -57,9 +55,9 @@ func benchDB(b *testing.B, rows int, rowMode bool) *Database {
 	return db
 }
 
-func benchQuery(b *testing.B, rowMode bool, gen func(i int) string) {
+func benchQuery(b *testing.B, gen func(i int) string) {
 	b.Helper()
-	db := benchDB(b, 20000, rowMode)
+	db := benchDB(b, 20000)
 	for i := 0; i < 16; i++ { // warm plan + shape caches
 		if _, err := db.Exec(gen(i), nil); err != nil {
 			b.Fatal(err)
@@ -74,42 +72,22 @@ func benchQuery(b *testing.B, rowMode bool, gen func(i int) string) {
 	}
 }
 
-func BenchmarkPointQueryRow(b *testing.B) {
-	benchQuery(b, true, func(i int) string { return fmt.Sprintf("SELECT b_id, b_val FROM big WHERE b_id = %d", i) })
-}
-
 func BenchmarkPointQueryBatch(b *testing.B) {
-	benchQuery(b, false, func(i int) string { return fmt.Sprintf("SELECT b_id, b_val FROM big WHERE b_id = %d", i) })
-}
-
-func BenchmarkScanRow(b *testing.B) {
-	benchQuery(b, true, func(int) string { return "SELECT b_id, b_val FROM big WHERE b_val >= 900.0" })
+	benchQuery(b, func(i int) string { return fmt.Sprintf("SELECT b_id, b_val FROM big WHERE b_id = %d", i) })
 }
 
 func BenchmarkScanBatch(b *testing.B) {
-	benchQuery(b, false, func(int) string { return "SELECT b_id, b_val FROM big WHERE b_val >= 900.0" })
-}
-
-func BenchmarkJoinRow(b *testing.B) {
-	benchQuery(b, true, func(int) string {
-		return "SELECT COUNT(*) AS c FROM big, dim WHERE b_dim = d_id AND b_val >= 500.0"
-	})
+	benchQuery(b, func(int) string { return "SELECT b_id, b_val FROM big WHERE b_val >= 900.0" })
 }
 
 func BenchmarkJoinBatch(b *testing.B) {
-	benchQuery(b, false, func(int) string {
+	benchQuery(b, func(int) string {
 		return "SELECT COUNT(*) AS c FROM big, dim WHERE b_dim = d_id AND b_val >= 500.0"
-	})
-}
-
-func BenchmarkAggRow(b *testing.B) {
-	benchQuery(b, true, func(int) string {
-		return "SELECT b_grp, COUNT(*) AS c, SUM(b_val) AS s, AVG(b_val) AS a FROM big GROUP BY b_grp"
 	})
 }
 
 func BenchmarkAggBatch(b *testing.B) {
-	benchQuery(b, false, func(int) string {
+	benchQuery(b, func(int) string {
 		return "SELECT b_grp, COUNT(*) AS c, SUM(b_val) AS s, AVG(b_val) AS a FROM big GROUP BY b_grp"
 	})
 }

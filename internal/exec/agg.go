@@ -175,15 +175,13 @@ func aggregateInput(ctx *Ctx, input Operator, groupBy []Expr, aggs []AggSpec) ([
 		groups[(types.Row{}).Hash()] = []*aggGroup{newGroup(types.Row{})}
 	}
 
-	// Vectorized fast path (batch mode only, so RowMode stays the faithful
-	// pre-vectorization baseline): grouping by one column of INT values
-	// probes a direct int-keyed table instead of evaluating the key
+	// Vectorized fast path: grouping by one column of INT values probes a direct int-keyed table instead of evaluating the key
 	// expression, FNV-hashing it and comparing candidate key rows for every
 	// input row; column aggregate arguments are read by index. The first
 	// row whose key is not a non-NULL INT migrates the groups built so far
 	// into the generic table and aggregation continues interpreted.
 	keyCol := -1
-	if !ctx.RowMode && len(groupBy) == 1 {
+	if len(groupBy) == 1 {
 		if c, ok := groupBy[0].(*ColExpr); ok {
 			keyCol = c.I
 		}
@@ -211,7 +209,7 @@ func aggregateInput(ctx *Ctx, input Operator, groupBy []Expr, aggs []AggSpec) ([
 	// producer may recycle delivered rows.
 	b.Ephemeral = true
 	for {
-		if err := NextBatch(ctx, input, &b); err != nil {
+		if err := input.BatchNext(ctx, &b); err != nil {
 			return nil, err
 		}
 		if len(b.Rows) == 0 {
@@ -321,15 +319,6 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 	}
 	h.pos = 0
 	return nil
-}
-
-func (h *HashAgg) Next(*Ctx) (types.Row, error) {
-	if h.pos >= len(h.out) {
-		return nil, nil
-	}
-	row := h.out[h.pos]
-	h.pos++
-	return row, nil
 }
 
 // BatchNext slices the materialized output.

@@ -1,15 +1,11 @@
 package exec
 
-import (
-	"time"
-
-	"mtcache/internal/types"
-)
+import "time"
 
 // OpStats accumulates per-operator runtime statistics for EXPLAIN ANALYZE.
 type OpStats struct {
-	Rows   int64         // rows returned by Next
-	Time   time.Duration // wall time inside Open + Next + Close
+	Rows   int64         // rows the operator emitted
+	Time   time.Duration // wall time inside Open + BatchNext + Close
 	Opened bool          // false when a StartupFilter pruned this subtree
 }
 
@@ -72,14 +68,14 @@ func (i *Instrumented) Open(ctx *Ctx) error {
 	return err
 }
 
-func (i *Instrumented) Next(ctx *Ctx) (types.Row, error) {
+// BatchNext passes the batch through, b.Ephemeral included, counting its
+// rows.
+func (i *Instrumented) BatchNext(ctx *Ctx, b *Batch) error {
 	start := time.Now()
-	row, err := i.Op.Next(ctx)
+	err := i.Op.BatchNext(ctx, b)
 	i.Stats.Time += time.Since(start)
-	if row != nil {
-		i.Stats.Rows++
-	}
-	return row, err
+	i.Stats.Rows += int64(len(b.Rows))
+	return err
 }
 
 func (i *Instrumented) Close() error {

@@ -17,51 +17,17 @@ const BatchSize = 64
 //
 // A consumer that copies out everything it keeps before its next pull —
 // aggregation cloning group keys, a join probe emitting concatenated
-// copies — sets Ephemeral before calling NextBatch. That releases the
+// copies — sets Ephemeral before calling BatchNext. That releases the
 // producer from the durability guarantee: it may overwrite the delivered
 // rows on the following BatchNext call, which lets Project recycle one
 // output slab instead of growing a fresh arena chunk per batch. Operators
-// that merely pass rows through (Filter, Limit, UnionAll) propagate the
-// flag; operators that retain input rows (Sort, TopN, Distinct, hash-join
-// builds, Exchange workers, Run itself) leave it unset on the batches they
-// own.
+// that merely pass rows through (Filter, Limit, UnionAll, StartupFilter,
+// Instrumented) propagate the flag; operators that retain input rows (Sort,
+// TopN, Distinct, hash-join builds, NestedLoop's right side, Exchange
+// workers, Run itself) leave it unset on the batches they own.
 type Batch struct {
 	Rows      []types.Row
 	Ephemeral bool
-}
-
-// BatchOperator is the vectorized fast path of an Operator: BatchNext
-// refills b (starting from b.Rows[:0]) with the next window of rows. An
-// empty batch signals end of stream; a non-empty batch may hold any positive
-// number of rows (typically up to BatchSize; joins may overshoot when one
-// probe row matches many build rows). BatchNext and Next must not be mixed
-// on the same operator instance within one execution.
-type BatchOperator interface {
-	Operator
-	BatchNext(ctx *Ctx, b *Batch) error
-}
-
-// NextBatch pulls the next batch from op, using its native batch path when
-// it has one and falling back to a row-at-a-time adapter otherwise (Remote,
-// VirtualScan, Instrumented, NestedLoop, ... keep working unchanged).
-func NextBatch(ctx *Ctx, op Operator, b *Batch) error {
-	// RowMode forces the adapter everywhere — the measured "before" of the
-	// vectorized-execution benchmarks.
-	if bo, ok := op.(BatchOperator); ok && !ctx.RowMode {
-		return bo.BatchNext(ctx, b)
-	}
-	b.Rows = b.Rows[:0]
-	for len(b.Rows) < BatchSize {
-		row, err := op.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			return nil
-		}
-		b.Rows = append(b.Rows, row)
-	}
-	return nil
 }
 
 // sliceBatch advances a cursor over fully materialized rows, handing out

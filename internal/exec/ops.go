@@ -69,7 +69,7 @@ type Counters struct {
 // Ctx is the per-execution context.
 type Ctx struct {
 	Params   Params
-	Env      Env             // expression environment; Run seeds Named from Params
+	Env      Env // expression environment; Run seeds Named from Params
 	Txn      *storage.Txn
 	Remote   RemoteClient
 	Counters *Counters
@@ -77,7 +77,6 @@ type Ctx struct {
 	TraceID  string          // propagated to the backend on DataTransfer
 	EstRows  float64         // optimizer output-cardinality estimate, 0 if unknown
 	Context  context.Context // optional cancellation signal; nil means none
-	RowMode  bool            // force row-at-a-time Next even for batch operators
 }
 
 // maxPrealloc caps estimate-driven allocations: estimates can be off by
@@ -97,17 +96,19 @@ func preallocSize(est float64, limit int) int {
 	return n
 }
 
-// Operator is a Volcano iterator.
+// Operator is a Volcano iterator that yields batches of rows. BatchNext
+// refills b (starting from b.Rows[:0]) with the next window of rows. An
+// empty batch signals end of stream; a non-empty batch may hold any positive
+// number of rows (typically up to BatchSize; joins may overshoot when one
+// probe row matches many build rows).
 type Operator interface {
 	Columns() []ColInfo
 	Open(ctx *Ctx) error
-	Next(ctx *Ctx) (types.Row, error) // (nil, nil) signals end of stream
+	BatchNext(ctx *Ctx, b *Batch) error
 	Close() error
 }
 
-// Run drains an operator into a ResultSet. Unless ctx.RowMode is set it
-// pulls BatchSize-row batches through the tree (operators without a native
-// batch path are adapted transparently by NextBatch).
+// Run drains an operator into a ResultSet, pulling batches through the tree.
 func Run(op Operator, ctx *Ctx) (*ResultSet, error) {
 	if ctx.Env.Named == nil {
 		ctx.Env.Named = ctx.Params
@@ -120,21 +121,9 @@ func Run(op Operator, ctx *Ctx) (*ResultSet, error) {
 	if n := preallocSize(ctx.EstRows, maxPrealloc); n > 0 {
 		rs.Rows = make([]types.Row, 0, n)
 	}
-	if ctx.RowMode {
-		for {
-			row, err := op.Next(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if row == nil {
-				return rs, nil
-			}
-			rs.Rows = append(rs.Rows, row)
-		}
-	}
 	var b Batch
 	for {
-		if err := NextBatch(ctx, op, &b); err != nil {
+		if err := op.BatchNext(ctx, &b); err != nil {
 			return nil, err
 		}
 		if len(b.Rows) == 0 {
@@ -181,20 +170,6 @@ func (s *Scan) Open(ctx *Ctx) error {
 		}
 	}
 	return nil
-}
-
-func (s *Scan) Next(ctx *Ctx) (types.Row, error) {
-	for s.pos < s.cap {
-		row := s.td.At(s.pos)
-		s.pos++
-		if row != nil {
-			if ctx.Counters != nil {
-				ctx.Counters.RowsScanned++
-			}
-			return row, nil
-		}
-	}
-	return nil, nil
 }
 
 // BatchNext fills b with up to BatchSize rows; an empty batch is EOS (empty
@@ -326,20 +301,14 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 		return true
 	}
 	switch {
-	case lo != nil && hi != nil:
+	case hi != nil:
+		// A nil lo (col <= x) starts at the first entry; either way the
+		// ascent stops past the hi prefix.
 		tree.AscendRange(lo, hi, collect)
 	case lo != nil:
 		tree.AscendGE(lo, collect)
 	default:
 		tree.Ascend(collect)
-		if hi != nil {
-			// unreachable in practice: planner always sets lo when hi is set
-			filtered := s.rids[:0]
-			for _, rid := range s.rids {
-				filtered = append(filtered, rid)
-			}
-			s.rids = filtered
-		}
 	}
 	s.pos = 0
 	return nil
@@ -358,20 +327,6 @@ func evalBound(bound []Expr, ctx *Ctx) (types.Row, error) {
 		row[i] = v
 	}
 	return row, nil
-}
-
-func (s *IndexScan) Next(ctx *Ctx) (types.Row, error) {
-	for s.pos < len(s.rids) {
-		row := s.td.Get(s.rids[s.pos])
-		s.pos++
-		if row != nil {
-			if ctx.Counters != nil {
-				ctx.Counters.RowsScanned++
-			}
-			return row, nil
-		}
-	}
-	return nil, nil
 }
 
 // BatchNext fills b with up to BatchSize visible rows; empty batch is EOS.
@@ -419,7 +374,7 @@ type Filter struct {
 	Input Operator
 	Pred  Expr
 
-	in     Batch         // batch-mode input scratch
+	in     Batch         // input scratch
 	vp     *vecPred      // compiled predicate, nil when the shape is not covered
 	rhs    []types.Value // vp's per-batch right-hand-side scratch
 	pushed bool          // vp was pushed down into the child scan
@@ -428,39 +383,20 @@ type Filter struct {
 func (f *Filter) Columns() []ColInfo { return f.Input.Columns() }
 
 func (f *Filter) Open(ctx *Ctx) error {
-	f.vp, f.pushed = nil, false
-	if !ctx.RowMode {
-		f.vp = compilePred(f.Pred)
-		if f.vp != nil {
-			// Fuse into a child scan: the predicate then runs inside the
-			// scan loop and rejected rows never enter a batch. (Each
-			// execution works on a private CloneOperator tree, so the
-			// pushed state is never shared across executions.)
-			switch in := f.Input.(type) {
-			case *Scan:
-				in.pred, f.pushed = f.vp, true
-			case *IndexScan:
-				in.pred, f.pushed = f.vp, true
-			}
+	f.vp, f.pushed = compilePred(f.Pred), false
+	if f.vp != nil {
+		// Fuse into a child scan: the predicate then runs inside the scan
+		// loop and rejected rows never enter a batch. (Each execution works
+		// on a private CloneOperator tree, so the pushed state is never
+		// shared across executions.)
+		switch in := f.Input.(type) {
+		case *Scan:
+			in.pred, f.pushed = f.vp, true
+		case *IndexScan:
+			in.pred, f.pushed = f.vp, true
 		}
 	}
 	return f.Input.Open(ctx)
-}
-
-func (f *Filter) Next(ctx *Ctx) (types.Row, error) {
-	for {
-		row, err := f.Input.Next(ctx)
-		if err != nil || row == nil {
-			return row, err
-		}
-		ok, err := EvalBool(f.Pred, row, &ctx.Env)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return row, nil
-		}
-	}
 }
 
 // BatchNext keeps pulling input batches until at least one row passes the
@@ -468,12 +404,12 @@ func (f *Filter) Next(ctx *Ctx) (types.Row, error) {
 func (f *Filter) BatchNext(ctx *Ctx, b *Batch) error {
 	if f.pushed {
 		// The child scan already applies the predicate.
-		return NextBatch(ctx, f.Input, b)
+		return f.Input.BatchNext(ctx, b)
 	}
 	b.Rows = b.Rows[:0]
 	f.in.Ephemeral = b.Ephemeral // pass-through rows: caller's promise extends
 	for {
-		if err := NextBatch(ctx, f.Input, &f.in); err != nil {
+		if err := f.Input.BatchNext(ctx, &f.in); err != nil {
 			return err
 		}
 		if len(f.in.Rows) == 0 {
@@ -543,20 +479,13 @@ func (s *StartupFilter) Open(ctx *Ctx) error {
 // Active reports whether the guard passed at the last Open (EXPLAIN ANALYZE).
 func (s *StartupFilter) Active() bool { return s.active }
 
-func (s *StartupFilter) Next(ctx *Ctx) (types.Row, error) {
-	if !s.active {
-		return nil, nil
-	}
-	return s.Input.Next(ctx)
-}
-
 // BatchNext passes batches through when the guard held at Open.
 func (s *StartupFilter) BatchNext(ctx *Ctx, b *Batch) error {
 	if !s.active {
 		b.Rows = b.Rows[:0]
 		return nil
 	}
-	return NextBatch(ctx, s.Input, b)
+	return s.Input.BatchNext(ctx, b)
 }
 
 func (s *StartupFilter) Close() error {
@@ -574,8 +503,8 @@ type Project struct {
 	Exprs []Expr
 	Cols  []ColInfo
 
-	in    Batch         // batch-mode input scratch
-	arena rowArena      // output rows for batch mode (durable consumers)
+	in    Batch         // input scratch
+	arena rowArena      // output rows for durable consumers
 	cols  []int         // all-ColExpr gather plan, nil when any expr is general
 	slab  []types.Value // recycled output storage for ephemeral consumers
 }
@@ -583,39 +512,16 @@ type Project struct {
 func (p *Project) Columns() []ColInfo { return p.Cols }
 
 func (p *Project) Open(ctx *Ctx) error {
-	p.cols = nil
-	if !ctx.RowMode {
-		cols := make([]int, len(p.Exprs))
-		gather := true
-		for i, e := range p.Exprs {
-			c, isCol := e.(*ColExpr)
-			if !isCol {
-				gather = false
-				break
-			}
-			cols[i] = c.I
+	p.cols = make([]int, len(p.Exprs))
+	for i, e := range p.Exprs {
+		c, isCol := e.(*ColExpr)
+		if !isCol {
+			p.cols = nil
+			break
 		}
-		if gather {
-			p.cols = cols
-		}
+		p.cols[i] = c.I
 	}
 	return p.Input.Open(ctx)
-}
-
-func (p *Project) Next(ctx *Ctx) (types.Row, error) {
-	row, err := p.Input.Next(ctx)
-	if err != nil || row == nil {
-		return nil, err
-	}
-	out := make(types.Row, len(p.Exprs))
-	for i, e := range p.Exprs {
-		v, err := e.Eval(row, &ctx.Env)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // BatchNext projects a whole input batch, carving output rows out of a
@@ -627,7 +533,7 @@ func (p *Project) Next(ctx *Ctx) (types.Row, error) {
 // interpreter.
 func (p *Project) BatchNext(ctx *Ctx, b *Batch) error {
 	p.in.Ephemeral = true // projected values are copied out immediately
-	if err := NextBatch(ctx, p.Input, &p.in); err != nil {
+	if err := p.Input.BatchNext(ctx, &p.in); err != nil {
 		return err
 	}
 	b.Rows = b.Rows[:0]
@@ -701,25 +607,13 @@ func (l *Limit) Open(ctx *Ctx) error {
 	return l.Input.Open(ctx)
 }
 
-func (l *Limit) Next(ctx *Ctx) (types.Row, error) {
-	if l.left <= 0 {
-		return nil, nil
-	}
-	row, err := l.Input.Next(ctx)
-	if err != nil || row == nil {
-		return nil, err
-	}
-	l.left--
-	return row, nil
-}
-
 // BatchNext truncates the child batch to the rows still owed.
 func (l *Limit) BatchNext(ctx *Ctx, b *Batch) error {
 	if l.left <= 0 {
 		b.Rows = b.Rows[:0]
 		return nil
 	}
-	if err := NextBatch(ctx, l.Input, b); err != nil {
+	if err := l.Input.BatchNext(ctx, b); err != nil {
 		return err
 	}
 	if int64(len(b.Rows)) > l.left {
@@ -760,23 +654,16 @@ func (s *Sort) Open(ctx *Ctx) error {
 		keys types.Row
 	}
 	var all []keyed
-	for {
-		row, err := s.Input.Next(ctx)
-		if err != nil {
+	err := drain(ctx, s.Input, func(row types.Row) error {
+		keys := make(types.Row, len(s.Keys))
+		if err := evalSortKeys(s.Keys, row, &ctx.Env, keys); err != nil {
 			return err
 		}
-		if row == nil {
-			break
-		}
-		keys := make(types.Row, len(s.Keys))
-		for i, k := range s.Keys {
-			v, err := k.E.Eval(row, &ctx.Env)
-			if err != nil {
-				return err
-			}
-			keys[i] = v
-		}
 		all = append(all, keyed{row: row, keys: keys})
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	sort.SliceStable(all, func(i, j int) bool {
 		for k := range s.Keys {
@@ -797,13 +684,35 @@ func (s *Sort) Open(ctx *Ctx) error {
 	return nil
 }
 
-func (s *Sort) Next(*Ctx) (types.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
+// drain pulls every batch from the opened op and calls fn on each row. The
+// batches are not Ephemeral, so fn may retain the rows.
+func drain(ctx *Ctx, op Operator, fn func(types.Row) error) error {
+	var b Batch
+	for {
+		if err := op.BatchNext(ctx, &b); err != nil {
+			return err
+		}
+		if len(b.Rows) == 0 {
+			return nil
+		}
+		for _, row := range b.Rows {
+			if err := fn(row); err != nil {
+				return err
+			}
+		}
 	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, nil
+}
+
+// evalSortKeys evaluates the sort keys of row into out.
+func evalSortKeys(keys []SortKey, row types.Row, env *Env, out types.Row) error {
+	for i, k := range keys {
+		v, err := k.E.Eval(row, env)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	return nil
 }
 
 // BatchNext slices the materialized output.
@@ -894,21 +803,10 @@ func (s *TopN) Open(ctx *Ctx) error {
 	}
 	h := &topHeap{keys: s.Keys}
 	var seq int64
-	for {
-		row, err := s.Input.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			break
-		}
+	err = drain(ctx, s.Input, func(row types.Row) error {
 		keys := make(types.Row, len(s.Keys))
-		for i, k := range s.Keys {
-			v, err := k.E.Eval(row, &ctx.Env)
-			if err != nil {
-				return err
-			}
-			keys[i] = v
+		if err := evalSortKeys(s.Keys, row, &ctx.Env, keys); err != nil {
+			return err
 		}
 		e := topEntry{row: row, keys: keys, seq: seq}
 		seq++
@@ -918,6 +816,10 @@ func (s *TopN) Open(ctx *Ctx) error {
 			h.entries[0] = e
 			heap.Fix(h, 0)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	sort.Slice(h.entries, func(i, j int) bool { return h.cmp(h.entries[i], h.entries[j]) < 0 })
 	s.rows = make([]types.Row, len(h.entries))
@@ -925,15 +827,6 @@ func (s *TopN) Open(ctx *Ctx) error {
 		s.rows[i] = e.row
 	}
 	return nil
-}
-
-func (s *TopN) Next(*Ctx) (types.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, nil
 }
 
 // BatchNext slices the materialized output.
@@ -959,16 +852,15 @@ type HashJoin struct {
 	BuildEst            float64 // optimizer estimate of build-side rows, 0 if unknown
 	ShareBuild          bool    // Exchange installs one shared build table across workers
 
-	table   map[uint64][]types.Row
-	shared  *sharedBuild // when set, the build runs once and is read by all workers
-	pending []types.Row
-	cols    []ColInfo
+	table  map[uint64][]types.Row
+	shared *sharedBuild // when set, the build runs once and is read by all workers
+	cols   []ColInfo
 
-	in      Batch     // batch-mode probe input scratch
+	in      Batch     // probe input scratch
 	inPos   int       // cursor into in.Rows
 	keyBuf  types.Row // probe-key scratch
 	rkeyBuf types.Row // candidate right-key scratch
-	arena   rowArena  // batch-mode output rows
+	arena   rowArena  // output rows
 	nullPad types.Row // NULL pad for unmatched outer rows
 }
 
@@ -995,7 +887,6 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 		}
 		j.table = table
 	}
-	j.pending = nil
 	j.in.Rows = j.in.Rows[:0]
 	j.inPos = 0
 	j.nullPad = make(types.Row, len(j.Right.Columns()))
@@ -1016,7 +907,7 @@ func buildHashTable(ctx *Ctx, build Operator, keys []Expr, est float64) (map[uin
 	var b Batch
 	keyBuf := make(types.Row, 0, len(keys))
 	for {
-		if err := NextBatch(ctx, build, &b); err != nil {
+		if err := build.BatchNext(ctx, &b); err != nil {
 			return nil, err
 		}
 		if len(b.Rows) == 0 {
@@ -1037,23 +928,9 @@ func buildHashTable(ctx *Ctx, build Operator, keys []Expr, est float64) (map[uin
 	}
 }
 
-func evalKeys(keys []Expr, row types.Row, env *Env) (types.Row, bool, error) {
-	out := make(types.Row, len(keys))
-	for i, k := range keys {
-		v, err := k.Eval(row, env)
-		if err != nil {
-			return nil, false, err
-		}
-		if v.IsNull() {
-			return nil, true, nil
-		}
-		out[i] = v
-	}
-	return out, false, nil
-}
-
-// evalKeysInto is evalKeys writing into a reusable buffer; the returned
-// slice aliases buf and is only valid until the next call.
+// evalKeysInto evaluates join keys into a reusable buffer, reporting true
+// when any key is NULL (such a row never joins). The returned slice aliases
+// buf and is only valid until the next call.
 func evalKeysInto(keys []Expr, row types.Row, env *Env, buf types.Row) (types.Row, bool, error) {
 	buf = buf[:0]
 	for _, k := range keys {
@@ -1069,48 +946,6 @@ func evalKeysInto(keys []Expr, row types.Row, env *Env, buf types.Row) (types.Ro
 	return buf, false, nil
 }
 
-func (j *HashJoin) Next(ctx *Ctx) (types.Row, error) {
-	for {
-		if len(j.pending) > 0 {
-			row := j.pending[0]
-			j.pending = j.pending[1:]
-			return row, nil
-		}
-		left, err := j.Left.Next(ctx)
-		if err != nil || left == nil {
-			return left, err
-		}
-		key, null, err := evalKeys(j.LeftKeys, left, &ctx.Env)
-		if err != nil {
-			return nil, err
-		}
-		var matched bool
-		if !null {
-			for _, right := range j.table[key.Hash()] {
-				rkey, _, err := evalKeys(j.RightKeys, right, &ctx.Env)
-				if err != nil {
-					return nil, err
-				}
-				if types.CompareRows(key, rkey) != 0 {
-					continue // hash collision
-				}
-				combined := concatRows(left, right)
-				ok, err := EvalBool(j.Residual, combined, &ctx.Env)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					matched = true
-					j.pending = append(j.pending, combined)
-				}
-			}
-		}
-		if !matched && j.LeftOuter {
-			j.pending = append(j.pending, concatRows(left, make(types.Row, len(j.Right.Columns()))))
-		}
-	}
-}
-
 // BatchNext probes a batch of left rows against the build table, reusing the
 // probe-key buffer and carving output rows from the arena. The output batch
 // may exceed BatchSize when a probe row matches many build rows.
@@ -1121,7 +956,7 @@ func (j *HashJoin) BatchNext(ctx *Ctx, b *Batch) error {
 	j.in.Ephemeral = true
 	for len(b.Rows) < BatchSize {
 		if j.inPos >= len(j.in.Rows) {
-			if err := NextBatch(ctx, j.Left, &j.in); err != nil {
+			if err := j.Left.BatchNext(ctx, &j.in); err != nil {
 				return err
 			}
 			j.inPos = 0
@@ -1171,12 +1006,6 @@ func (j *HashJoin) BatchNext(ctx *Ctx, b *Batch) error {
 	return nil
 }
 
-func concatRows(l, r types.Row) types.Row {
-	out := make(types.Row, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
-}
-
 func (j *HashJoin) Close() error {
 	j.table = nil
 	return j.Left.Close()
@@ -1190,10 +1019,15 @@ type NestedLoop struct {
 	LeftOuter   bool
 
 	rightRows []types.Row
-	left      types.Row
-	ri        int
-	matched   bool
 	cols      []ColInfo
+
+	in      Batch     // left input scratch
+	inPos   int       // cursor into in.Rows: the current left row
+	ri      int       // next right row to pair with the current left row
+	matched bool      // the current left row has matched
+	pair    types.Row // candidate pair scratch, copied out on a match
+	arena   rowArena  // output rows
+	nullPad types.Row // NULL pad for unmatched outer rows
 }
 
 func (j *NestedLoop) Columns() []ColInfo {
@@ -1208,52 +1042,62 @@ func (j *NestedLoop) Open(ctx *Ctx) error {
 		return err
 	}
 	j.rightRows = nil
-	for {
-		row, err := j.Right.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			break
-		}
+	err := drain(ctx, j.Right, func(row types.Row) error {
 		j.rightRows = append(j.rightRows, row)
-	}
+		return nil
+	})
 	j.Right.Close()
-	j.left = nil
-	j.ri = 0
+	if err != nil {
+		return err
+	}
+	j.in.Rows = j.in.Rows[:0]
+	j.inPos, j.ri, j.matched = 0, 0, false
+	j.nullPad = make(types.Row, len(j.Right.Columns()))
 	return j.Left.Open(ctx)
 }
 
-func (j *NestedLoop) Next(ctx *Ctx) (types.Row, error) {
-	for {
-		if j.left == nil {
-			row, err := j.Left.Next(ctx)
-			if err != nil || row == nil {
-				return row, err
+// BatchNext pairs left rows with every right row, evaluating the predicate
+// on a scratch pair and copying only matches into the arena. A left row's
+// pairs may span several batches; the cursor resumes where the last one
+// stopped.
+func (j *NestedLoop) BatchNext(ctx *Ctx, b *Batch) error {
+	b.Rows = b.Rows[:0]
+	// Left rows only reach the output as arena copies.
+	j.in.Ephemeral = true
+	for len(b.Rows) < BatchSize {
+		if j.inPos >= len(j.in.Rows) {
+			if err := j.Left.BatchNext(ctx, &j.in); err != nil {
+				return err
 			}
-			j.left = row
-			j.ri = 0
-			j.matched = false
+			j.inPos = 0
+			if len(j.in.Rows) == 0 {
+				return nil
+			}
+			j.arena.hint(len(j.in.Rows) * len(j.Columns()))
 		}
-		for j.ri < len(j.rightRows) {
+		left := j.in.Rows[j.inPos]
+		for j.ri < len(j.rightRows) && len(b.Rows) < BatchSize {
 			right := j.rightRows[j.ri]
 			j.ri++
-			combined := concatRows(j.left, right)
-			ok, err := EvalBool(j.Pred, combined, &ctx.Env)
+			j.pair = append(append(j.pair[:0], left...), right...)
+			ok, err := EvalBool(j.Pred, j.pair, &ctx.Env)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if ok {
 				j.matched = true
-				return combined, nil
+				b.Rows = append(b.Rows, j.arena.concat(left, right))
 			}
 		}
-		left := j.left
-		j.left = nil
-		if !j.matched && j.LeftOuter {
-			return concatRows(left, make(types.Row, len(j.Right.Columns()))), nil
+		if j.ri < len(j.rightRows) {
+			return nil // batch full mid-row
 		}
+		if !j.matched && j.LeftOuter {
+			b.Rows = append(b.Rows, j.arena.concat(left, j.nullPad))
+		}
+		j.inPos, j.ri, j.matched = j.inPos+1, 0, false
 	}
+	return nil
 }
 
 func (j *NestedLoop) Close() error {
@@ -1283,24 +1127,10 @@ func (u *UnionAll) Open(ctx *Ctx) error {
 	return nil
 }
 
-func (u *UnionAll) Next(ctx *Ctx) (types.Row, error) {
-	for u.cur < len(u.Inputs) {
-		row, err := u.Inputs[u.cur].Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if row != nil {
-			return row, nil
-		}
-		u.cur++
-	}
-	return nil, nil
-}
-
 // BatchNext delegates to the current input, advancing on its EOS.
 func (u *UnionAll) BatchNext(ctx *Ctx, b *Batch) error {
 	for u.cur < len(u.Inputs) {
-		if err := NextBatch(ctx, u.Inputs[u.cur], b); err != nil {
+		if err := u.Inputs[u.cur].BatchNext(ctx, b); err != nil {
 			return err
 		}
 		if len(b.Rows) > 0 {
@@ -1326,8 +1156,7 @@ func (u *UnionAll) Close() error {
 
 // Remote is the DataTransfer operator: it executes SQL text on the backend
 // server and streams the result. Its appearance in a plan is exactly where
-// the optimizer placed a DataTransfer enforcer (paper §5). It has no native
-// batch path on purpose — it exercises the NextBatch adapter.
+// the optimizer placed a DataTransfer enforcer (paper §5).
 type Remote struct {
 	SQLText string
 	Cols    []ColInfo
@@ -1367,13 +1196,10 @@ func (r *Remote) Open(ctx *Ctx) error {
 	return nil
 }
 
-func (r *Remote) Next(*Ctx) (types.Row, error) {
-	if r.pos >= len(r.rows) {
-		return nil, nil
-	}
-	row := r.rows[r.pos]
-	r.pos++
-	return row, nil
+// BatchNext slices the fetched result.
+func (r *Remote) BatchNext(_ *Ctx, b *Batch) error {
+	sliceBatch(r.rows, &r.pos, b)
+	return nil
 }
 
 func (r *Remote) Close() error {
@@ -1394,21 +1220,22 @@ type Values struct {
 func (v *Values) Columns() []ColInfo { return v.Cols }
 func (v *Values) Open(*Ctx) error    { v.pos = 0; return nil }
 
-func (v *Values) Next(ctx *Ctx) (types.Row, error) {
-	if v.pos >= len(v.Rows) {
-		return nil, nil
-	}
-	exprs := v.Rows[v.pos]
-	v.pos++
-	out := make(types.Row, len(exprs))
-	for i, e := range exprs {
-		val, err := e.Eval(nil, &ctx.Env)
-		if err != nil {
-			return nil, err
+// BatchNext evaluates the next window of rows.
+func (v *Values) BatchNext(ctx *Ctx, b *Batch) error {
+	b.Rows = b.Rows[:0]
+	for ; v.pos < len(v.Rows) && len(b.Rows) < BatchSize; v.pos++ {
+		exprs := v.Rows[v.pos]
+		out := make(types.Row, len(exprs))
+		for i, e := range exprs {
+			val, err := e.Eval(nil, &ctx.Env)
+			if err != nil {
+				return err
+			}
+			out[i] = val
 		}
-		out[i] = val
+		b.Rows = append(b.Rows, out)
 	}
-	return out, nil
+	return nil
 }
 
 func (v *Values) Close() error { return nil }
@@ -1418,7 +1245,6 @@ func (v *Values) Close() error { return nil }
 // VirtualScan yields the rows of a virtual system table (sys.*). The
 // provider is called once per Open so a query sees one consistent
 // materialization; there is no storage, no transaction and no index path.
-// Like Remote, it deliberately relies on the NextBatch adapter.
 type VirtualScan struct {
 	Name string // full dotted table name, e.g. "sys.query_stats"
 	Rows func() []types.Row
@@ -1436,16 +1262,13 @@ func (s *VirtualScan) Open(*Ctx) error {
 	return nil
 }
 
-func (s *VirtualScan) Next(ctx *Ctx) (types.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
+// BatchNext slices the materialized rows, counting them as scanned.
+func (s *VirtualScan) BatchNext(ctx *Ctx, b *Batch) error {
+	sliceBatch(s.rows, &s.pos, b)
 	if ctx.Counters != nil {
-		ctx.Counters.RowsScanned++
+		ctx.Counters.RowsScanned += int64(len(b.Rows))
 	}
-	return row, nil
+	return nil
 }
 
 func (s *VirtualScan) Close() error {
@@ -1460,6 +1283,7 @@ type Distinct struct {
 	Input Operator
 
 	seen map[uint64][]types.Row
+	in   Batch // input scratch; never Ephemeral, since seen retains rows
 }
 
 func (d *Distinct) Columns() []ColInfo { return d.Input.Columns() }
@@ -1469,26 +1293,36 @@ func (d *Distinct) Open(ctx *Ctx) error {
 	return d.Input.Open(ctx)
 }
 
-func (d *Distinct) Next(ctx *Ctx) (types.Row, error) {
-	for {
-		row, err := d.Input.Next(ctx)
-		if err != nil || row == nil {
-			return row, err
+// BatchNext emits the first occurrence of each row, pulling input until at
+// least one new row is found (or EOS).
+func (d *Distinct) BatchNext(ctx *Ctx, b *Batch) error {
+	b.Rows = b.Rows[:0]
+	for len(b.Rows) == 0 {
+		if err := d.Input.BatchNext(ctx, &d.in); err != nil {
+			return err
 		}
-		h := row.Hash()
-		dup := false
-		for _, prev := range d.seen[h] {
-			if types.RowsEqual(prev, row) {
-				dup = true
-				break
+		if len(d.in.Rows) == 0 {
+			return nil
+		}
+		for _, row := range d.in.Rows {
+			if d.add(row) {
+				b.Rows = append(b.Rows, row)
 			}
 		}
-		if dup {
-			continue
-		}
-		d.seen[h] = append(d.seen[h], row)
-		return row, nil
 	}
+	return nil
+}
+
+// add records row, reporting false when an equal row was seen before.
+func (d *Distinct) add(row types.Row) bool {
+	h := row.Hash()
+	for _, prev := range d.seen[h] {
+		if types.RowsEqual(prev, row) {
+			return false
+		}
+	}
+	d.seen[h] = append(d.seen[h], row)
+	return true
 }
 
 func (d *Distinct) Close() error {

@@ -17,7 +17,7 @@ import (
 // workers never coordinate during the scan.
 
 // exchangeBatch is how many rows ride in one channel send; batching
-// amortizes channel synchronization on the row path.
+// amortizes channel synchronization.
 const exchangeBatch = 64
 
 // Exchange runs DOP partitioned clones of Template concurrently and gathers
@@ -35,8 +35,6 @@ type Exchange struct {
 	wg         sync.WaitGroup
 	mu         sync.Mutex
 	err        error
-	buf        []types.Row
-	bufPos     int
 	workerRows []int64
 	opened     bool
 	closed     bool
@@ -65,7 +63,6 @@ func (e *Exchange) Open(ctx *Ctx) error {
 	e.abort = make(chan struct{})
 	e.abortOnce = &sync.Once{}
 	e.err = nil
-	e.buf, e.bufPos = nil, 0
 	e.workerRows = make([]int64, dop)
 	e.opened, e.closed = true, false
 
@@ -141,7 +138,7 @@ func (e *Exchange) runWorker(i int, op Operator, ctx *Ctx, parent *Ctx, done <-c
 		}
 		// Pull a whole batch through the worker pipeline; the channel send
 		// needs an owned slice, so rows are copied out of the reused window.
-		if err := NextBatch(ctx, op, &in); err != nil {
+		if err := op.BatchNext(ctx, &in); err != nil {
 			e.fail(err)
 			return
 		}
@@ -169,32 +166,8 @@ func (e *Exchange) fail(err error) {
 	e.abortOnce.Do(func() { close(e.abort) })
 }
 
-func (e *Exchange) Next(*Ctx) (types.Row, error) {
-	for {
-		if e.bufPos < len(e.buf) {
-			row := e.buf[e.bufPos]
-			e.bufPos++
-			return row, nil
-		}
-		batch, ok := <-e.ch
-		if !ok {
-			e.mu.Lock()
-			err := e.err
-			e.mu.Unlock()
-			return nil, err
-		}
-		e.buf, e.bufPos = batch, 0
-	}
-}
-
-// BatchNext hands a whole worker chunk to the parent per call instead of
-// one row per virtual call.
+// BatchNext hands one whole worker chunk to the parent per call.
 func (e *Exchange) BatchNext(_ *Ctx, b *Batch) error {
-	if e.bufPos < len(e.buf) {
-		b.Rows = append(b.Rows[:0], e.buf[e.bufPos:]...)
-		e.bufPos = len(e.buf)
-		return nil
-	}
 	batch, ok := <-e.ch
 	if !ok {
 		e.mu.Lock()
@@ -218,7 +191,6 @@ func (e *Exchange) Close() error {
 	for range e.ch {
 	}
 	e.wg.Wait()
-	e.buf = nil
 	e.workers = nil
 	return nil
 }

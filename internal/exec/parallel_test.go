@@ -120,13 +120,9 @@ func TestExchangeWorkerErrorPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got error
+	var b Batch
 	for {
-		row, err := ex.Next(ctx)
-		if err != nil {
-			got = err
-			break
-		}
-		if row == nil {
+		if got = ex.BatchNext(ctx, &b); got != nil || len(b.Rows) == 0 {
 			break
 		}
 	}
@@ -152,15 +148,16 @@ func TestExchangeContextCancellation(t *testing.T) {
 	if err := ex.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
+	var b Batch
 	for {
-		row, err := ex.Next(ctx)
+		err := ex.BatchNext(ctx, &b)
 		if err != nil {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
 			break
 		}
-		if row == nil {
+		if len(b.Rows) == 0 {
 			t.Fatal("stream ended cleanly despite cancelled context")
 		}
 	}
@@ -170,7 +167,7 @@ func TestExchangeContextCancellation(t *testing.T) {
 }
 
 // TestExchangeEarlyCloseNoGoroutineLeak closes a parallel stream after one
-// row, repeatedly, and checks the goroutine count settles back to baseline.
+// batch, repeatedly, and checks the goroutine count settles back to baseline.
 func TestExchangeEarlyCloseNoGoroutineLeak(t *testing.T) {
 	s := newTestStore(t, 5000)
 	before := runtime.NumGoroutine()
@@ -181,7 +178,7 @@ func TestExchangeEarlyCloseNoGoroutineLeak(t *testing.T) {
 		if err := ex.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ex.Next(ctx); err != nil {
+		if err := ex.BatchNext(ctx, &Batch{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := ex.Close(); err != nil {

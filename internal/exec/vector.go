@@ -17,9 +17,8 @@ import (
 // generic Expr machinery once per batch (to resolve the row-independent
 // right-hand sides) instead of three times per row.
 //
-// The compiled form is used only on the batch path. Filter.Next keeps the
-// interpreted evaluator, so RowMode remains the faithful pre-vectorization
-// baseline and the equivalence tests compare the two implementations.
+// Differential tests check the compiled form against the interpreted
+// evaluator in the test-only exectest.Reference.
 
 // vecLeaf is one compiled comparison: row[col] op rhs, where rhs is
 // row-independent (ConstExpr or ParamExpr).

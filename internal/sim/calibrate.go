@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -147,15 +147,6 @@ func Calibrate(cfg tpcw.Config, reps int) (*CalibrationResult, error) {
 	}
 
 	// ---- replication overheads, measured from the real pipeline.
-	reader, apply, err := measureReplication(backend, cache, cachedApp, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("sim: replication calibration: %w", err)
-	}
-	res.Cached.ReaderPerTxn = reader
-	res.Cached.ApplyPerTxn = apply
-	res.NoCache.ReaderPerTxn = reader
-	res.NoCache.ApplyPerTxn = apply
-
 	// Hardware normalization (see ScaleFactor).
 	measured := res.NoCache.MeanDemand(tpcw.Ordering, true)
 	if measured > 0 {
@@ -171,7 +162,9 @@ func Calibrate(cfg tpcw.Config, reps int) (*CalibrationResult, error) {
 	return res, nil
 }
 
-// measureApp times every interaction type against a configured app.
+// measureApp times every interaction type against a configured app, and
+// the replication pipeline's per-transaction log-reader and apply work for
+// the writes those interactions commit.
 func measureApp(app *tpcw.App, shim *timedLink, backend *core.BackendServer, cfg tpcw.Config, reps int) (Costs, error) {
 	costs := Costs{
 		Web:     map[tpcw.Interaction]float64{},
@@ -179,18 +172,26 @@ func measureApp(app *tpcw.App, shim *timedLink, backend *core.BackendServer, cfg
 		Writes:  map[tpcw.Interaction]float64{},
 	}
 	session := app.NewSession(1)
-	// Warm plan caches so calibration measures steady state.
+	// Warm plan caches so calibration measures steady state, then drain the
+	// replication backlog so each write below is applied on its own.
 	for _, in := range tpcw.Interactions() {
 		if _, err := app.Run(session, in); err != nil {
 			return costs, fmt.Errorf("%s warmup: %w", in, err)
 		}
 	}
-	// Measurement is interleaved — one round runs every interaction once —
-	// and summarized by the per-interaction median, so transient CPU
-	// contention (e.g. parallel test packages) hits all interactions evenly
-	// instead of skewing whichever was being measured at the time.
+	if err := backend.SyncReplication(); err != nil {
+		return costs, err
+	}
+	// Measurement is interleaved — one round runs every interaction once,
+	// replicating its writes right after — so drift in machine speed hits
+	// every cost evenly. Each cost is summarized by robustMean: parameters
+	// vary between executions, so the mean is the expected demand, but a
+	// preempted sample (e.g. under parallel test packages) is inflated by a
+	// whole scheduler time slice and must not count.
+	stats := backend.Repl.Stats
 	wallSamples := map[tpcw.Interaction][]float64{}
 	backendSamples := map[tpcw.Interaction][]float64{}
+	var readerSamples, applySamples []float64
 	var writes = map[tpcw.Interaction]int64{}
 	for rep := 0; rep < reps; rep++ {
 		for _, in := range tpcw.Interactions() {
@@ -203,25 +204,33 @@ func measureApp(app *tpcw.App, shim *timedLink, backend *core.BackendServer, cfg
 				return costs, fmt.Errorf("%s: %w", in, err)
 			}
 			wallSamples[in] = append(wallSamples[in], time.Since(start).Seconds())
-			writes[in] += int64(backend.DB.Store().WAL().End() - walBefore)
 			if shim != nil {
 				backendSamples[in] = append(backendSamples[in], shim.take().Seconds())
+			}
+			if n := backend.DB.Store().WAL().End() - walBefore; n > 0 {
+				writes[in] += int64(n)
+				reader, apply := stats.ReaderTime.Value(), stats.ApplyTime.Value()
+				if err := backend.SyncReplication(); err != nil {
+					return costs, err
+				}
+				readerSamples = append(readerSamples, float64(stats.ReaderTime.Value()-reader)/1e9/float64(n))
+				applySamples = append(applySamples, float64(stats.ApplyTime.Value()-apply)/1e9/float64(n))
 			}
 			// Keep the WAL from growing unboundedly during calibration.
 			backend.DB.Store().WAL().Truncate(backend.DB.Store().WAL().End())
 		}
 	}
 	for _, in := range tpcw.Interactions() {
-		med := median(wallSamples[in])
+		wall := robustMean(wallSamples[in])
 		costs.Writes[in] = float64(writes[in]) / float64(reps)
 		if shim == nil {
 			// No-cache: all measured time is backend work; the web server
 			// contributes page generation only.
-			costs.Backend[in] = med
+			costs.Backend[in] = wall
 			costs.Web[in] = PageGenCost
 		} else {
-			bt := median(backendSamples[in])
-			web := med - bt
+			bt := robustMean(backendSamples[in])
+			web := wall - bt
 			if web < 0 {
 				web = 0
 			}
@@ -229,46 +238,30 @@ func measureApp(app *tpcw.App, shim *timedLink, backend *core.BackendServer, cfg
 			costs.Backend[in] = bt
 		}
 	}
+	costs.ReaderPerTxn = robustMean(readerSamples)
+	costs.ApplyPerTxn = robustMean(applySamples)
 	return costs, nil
 }
 
-func median(xs []float64) float64 {
+// robustMean is the mean of the samples at most three times the median,
+// dropping the outliers that preemption produces.
+func robustMean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s[len(s)/2]
+	limit := 3 * median(xs)
+	sum, n := 0.0, 0
+	for _, x := range xs {
+		if x <= limit {
+			sum += x
+			n++
+		}
+	}
+	return sum / float64(n)
 }
 
-// measureReplication drives write transactions through the pipeline and
-// reports (log-reader seconds per txn, apply seconds per txn per cache).
-func measureReplication(backend *core.BackendServer, cache *core.CacheServer, app *tpcw.App, cfg tpcw.Config) (float64, float64, error) {
-	stats := backend.Repl.Stats
-	readerBefore := stats.ReaderTime.Value()
-	applyBefore := stats.ApplyTime.Value()
-	walStart := backend.DB.Store().WAL().End()
-
-	s := app.NewSession(2)
-	const writers = 60
-	for i := 0; i < writers; i++ {
-		if _, err := app.Run(s, tpcw.BuyConfirm); err != nil {
-			return 0, 0, err
-		}
-		if i%10 == 9 {
-			if err := backend.SyncReplication(); err != nil {
-				return 0, 0, err
-			}
-		}
-	}
-	if err := backend.SyncReplication(); err != nil {
-		return 0, 0, err
-	}
-	commits := float64(backend.DB.Store().WAL().End() - walStart)
-	if commits == 0 {
-		return 0, 0, fmt.Errorf("no transactions replicated during calibration")
-	}
-	reader := float64(stats.ReaderTime.Value()-readerBefore) / 1e9 / commits
-	apply := float64(stats.ApplyTime.Value()-applyBefore) / 1e9 / commits
-	return reader, apply, nil
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[len(s)/2]
 }

@@ -137,7 +137,7 @@ func TestSimulateDeterministic(t *testing.T) {
 
 func smallCalibration(t *testing.T) *CalibrationResult {
 	t.Helper()
-	cal, err := Calibrate(tpcw.Config{Items: 120, Customers: 200, Seed: 5}, 4)
+	cal, err := Calibrate(tpcw.Config{Items: 120, Customers: 200, Seed: 5}, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
